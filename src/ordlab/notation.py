@@ -20,6 +20,12 @@ from typing import Callable, Optional
 
 from .errors import PredicateError, RangeError
 
+MAX_PREDICATE_DEPTH = 100
+"""Deepest predicate accepted, counting both the parser's recursion (each
+open '(' and each 'not') and the depth of the tree it builds.  The compiled
+form nests one pair of parentheses per tree level, and CPython's compiler
+refuses more than 200."""
+
 _COMPARISONS = {
     "<=": lambda a, b: a <= b,
     "<": lambda a, b: a < b,
@@ -68,14 +74,38 @@ def eval_tree(tree: tuple, n: int):
 
 
 class _PredicateParser:
-    """Recursive descent: or < and < not < comparison < + < *."""
+    """Recursive descent: or < and < not < comparison < + < *.  Each rule
+    returns a (tree, depth) pair, so a tree deeper than MAX_PREDICATE_DEPTH
+    is refused as it is built."""
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.level = 0
 
     def error(self, message: str):
         raise PredicateError(message, self.pos)
+
+    def too_deep(self):
+        # A RangeError, so that the backtracking in comparison() cannot
+        # swallow it as a failed parse.
+        raise RangeError(f"predicate nesting exceeds the depth cap {MAX_PREDICATE_DEPTH}")
+
+    def nested(self, rule) -> tuple:
+        """Apply ``rule`` one recursion level down."""
+        if self.level == MAX_PREDICATE_DEPTH:
+            self.too_deep()
+        self.level += 1
+        try:
+            return rule()
+        finally:
+            self.level -= 1
+
+    def node(self, tag: str, *children: tuple) -> tuple:
+        depth = 1 + max(d for _, d in children)
+        if depth > MAX_PREDICATE_DEPTH:
+            self.too_deep()
+        return (tag, *(tree for tree, _ in children)), depth
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -101,33 +131,33 @@ class _PredicateParser:
         node = self.and_expr()
         while self.peek_word() == "or":
             self.take_word()
-            node = ("or", node, self.and_expr())
+            node = self.node("or", node, self.and_expr())
         return node
 
     def and_expr(self) -> tuple:
         node = self.not_expr()
         while self.peek_word() == "and":
             self.take_word()
-            node = ("and", node, self.not_expr())
+            node = self.node("and", node, self.not_expr())
         return node
 
     def not_expr(self) -> tuple:
         if self.peek_word() == "not":
             self.take_word()
-            return ("not", self.not_expr())
+            return self.node("not", self.nested(self.not_expr))
         return self.comparison()
 
     def comparison(self) -> tuple:
         word = self.peek_word()
         if word in ("true", "false"):
             self.take_word()
-            return ("bool", word == "true")
+            return ("bool", word == "true"), 1
         if self.peek() == "(":
             # parenthesized boolean, e.g. "(x != 7 and x != 9)"
             save = self.pos
             self.pos += 1
             try:
-                node = self.or_expr()
+                node = self.nested(self.or_expr)
                 self.skip_ws()
                 if self.peek() != ")":
                     self.error("expected ')'")
@@ -140,28 +170,28 @@ class _PredicateParser:
         for op in ("<=", ">=", "==", "!=", "<", ">", "="):
             if self.text.startswith(op, self.pos):
                 self.pos += len(op)
-                return (op if op != "==" else "=", left, self.arith())
+                return self.node(op if op != "==" else "=", left, self.arith())
         self.error("expected a comparison operator")
 
     def arith(self) -> tuple:
         node = self.term()
         while self.peek() == "+":
             self.pos += 1
-            node = ("+", node, self.term())
+            node = self.node("+", node, self.term())
         return node
 
     def term(self) -> tuple:
         node = self.factor()
         while self.peek() == "*":
             self.pos += 1
-            node = ("*", node, self.factor())
+            node = self.node("*", node, self.factor())
         return node
 
     def factor(self) -> tuple:
         ch = self.peek()
         if ch == "(":
             self.pos += 1
-            node = self.arith()
+            node = self.nested(self.arith)
             self.skip_ws()
             if self.peek() != ")":
                 self.error("expected ')'")
@@ -171,10 +201,10 @@ class _PredicateParser:
             start = self.pos
             while self.pos < len(self.text) and self.text[self.pos].isdigit():
                 self.pos += 1
-            return ("num", int(self.text[start:self.pos]))
+            return ("num", int(self.text[start:self.pos])), 1
         if self.peek_word() == "x":
             self.take_word()
-            return ("var",)
+            return ("var",), 1
         self.error("expected a numeral, 'x', or '('")
 
 
@@ -201,7 +231,7 @@ def _tree_to_python(tree: tuple) -> str:
 
 def parse_predicate(text: str) -> PredicateExpr:
     parser = _PredicateParser(text)
-    tree = parser.or_expr()
+    tree, _ = parser.or_expr()
     parser.skip_ws()
     if parser.pos != len(text):
         parser.error("trailing input")
@@ -249,10 +279,16 @@ def kreisel_presentation(predicate: PredicateExpr | str) -> Presentation:
 
 
 def check_ascending(p: Presentation, n: int, fuel: int = 10000) -> bool:
-    """True iff 0 < 1 < ... < n holds in the presentation order."""
+    """True iff 0 < 1 < ... < n holds in the presentation order.
+
+    By the three-zone rule the chain breaks exactly at the adjacent pairs
+    at or above the least counterexample k, and the pair (k-1, k) still
+    ascends; so the answer is whether k is absent or k >= n.  One upward
+    scan finds that with at most n evaluations of the predicate, none
+    above n - 1."""
     if n > fuel:
         raise RangeError(f"window {n} exceeds the fuel cap {fuel}")
-    return all(p.less(i, i + 1) for i in range(n))
+    return p.least_counterexample(n - 1) is None
 
 
 def find_descending(p: Presentation, fuel: int, cap: int = 10**6) -> Optional[list[int]]:
@@ -291,10 +327,19 @@ def audit(p: Presentation, n: int, fuel: int = 10000) -> AuditReport:
     """Count the predicate's counterexamples and the order's adjacent
     descents inside the window, and record whether the two observations
     agree (prefix looks well-ordered iff no counterexample was seen) --
-    computed, never assumed."""
+    computed, never assumed.
+
+    One pass over 0..n evaluates the predicate n + 1 times: it scans up to
+    the least counterexample k, then counts the counterexamples above it.
+    By the three-zone rule the pair (i+1, i) descends exactly when i >= k,
+    so there are n - k descents, or none without k."""
     if n > fuel:
         raise RangeError(f"window {n} exceeds the fuel cap {fuel}")
-    counterexamples = sum(1 for i in range(n + 1) if not p.predicate.evaluate(i))
-    descents = sum(1 for i in range(n) if p.less(i + 1, i))
+    k = p.least_counterexample(n)
+    if k is None:
+        counterexamples = descents = 0
+    else:
+        counterexamples = 1 + sum(1 for i in range(k + 1, n + 1) if not p.predicate.evaluate(i))
+        descents = n - k
     equivalent = (descents == 0) == (counterexamples == 0)
     return AuditReport(n, counterexamples, descents, equivalent)

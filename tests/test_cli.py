@@ -133,6 +133,17 @@ def test_domain_error_exit_1_and_empty_stdout(capsys):
     assert code == 1 and out == "" and err.startswith("error: catalog:")
 
 
+@pytest.mark.parametrize("predicate", [
+    "x" + "*x" * 299 + " >= 0",
+    "not " * 300 + "x = 1",
+    "not " * 2000 + "x = 1",
+])
+def test_deep_predicate_is_a_range_error(capsys, predicate):
+    code, out, err = invoke(capsys, "notation", "audit", predicate, "10")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: range:")
+
+
 def test_usage_error_exit_2(capsys):
     assert invoke(capsys, "ord", "bogus")[0] == 2
     assert invoke(capsys, "nonsense")[0] == 2

@@ -1,7 +1,11 @@
 import pytest
 
+from dataclasses import replace
+
 from ordlab.errors import PredicateError, RangeError
 from ordlab.notation import (
+    MAX_PREDICATE_DEPTH,
+    Presentation,
     audit,
     check_ascending,
     eval_tree,
@@ -48,6 +52,29 @@ def test_compiled_predicate_agrees_with_ast():
         p = parse_predicate(text)
         for n in range(250):
             assert p.evaluate(n) == bool(eval_tree(p.tree, n))
+
+
+def test_predicate_at_depth_cap():
+    # MAX - 1 factors make a product tree MAX - 1 deep; the comparison adds one.
+    at_cap = [
+        "x" + "*x" * (MAX_PREDICATE_DEPTH - 2) + " >= 0",
+        "not " * (MAX_PREDICATE_DEPTH - 2) + "x = 1",
+        "(" * MAX_PREDICATE_DEPTH + "x" + ")" * MAX_PREDICATE_DEPTH + " != 1",
+    ]
+    for text in at_cap:
+        p = parse_predicate(text)
+        for n in range(5):
+            assert p.evaluate(n) == bool(eval_tree(p.tree, n))
+    assert parse_predicate(at_cap[0]).evaluate(3)
+    assert parse_predicate(at_cap[1]).evaluate(1) and not parse_predicate(at_cap[1]).evaluate(2)
+    over_cap = [
+        "x" + "*x" * (MAX_PREDICATE_DEPTH - 1) + " >= 0",
+        "not " * (MAX_PREDICATE_DEPTH - 1) + "x = 1",
+        "(" * (MAX_PREDICATE_DEPTH + 1) + "x" + ")" * (MAX_PREDICATE_DEPTH + 1) + " != 1",
+    ]
+    for text in over_cap:
+        with pytest.raises(RangeError):
+            parse_predicate(text)
 
 
 # --- the order -----------------------------------------------------------------------
@@ -111,6 +138,29 @@ def test_ascending_iff_total_below_window(presentation):
         assert check_ascending(p, n) == total_below
 
 
+def _counting(text: str):
+    """The presentation of ``text`` and the list of arguments its predicate
+    is evaluated at."""
+    calls = []
+    predicate = parse_predicate(text)
+    fn = predicate._fn
+
+    def counted(n):
+        calls.append(n)
+        return fn(n)
+
+    return Presentation(replace(predicate, _fn=counted), text), calls
+
+
+@pytest.mark.parametrize("text", ["x != 700", "true"])
+@pytest.mark.parametrize("window_op", [check_ascending, audit])
+def test_window_ops_evaluate_linearly(text, window_op):
+    n = 2000
+    p, calls = _counting(text)
+    window_op(p, n)
+    assert len(calls) <= n + 1 and max(calls) <= n
+
+
 def test_fuel_cap():
     p = kreisel_presentation("true")
     with pytest.raises(RangeError):
@@ -151,6 +201,14 @@ def test_audit_examples():
     assert r.counterexamples == 1 and r.descents > 0 and r.equivalent
     r = audit(kreisel_presentation("x != 7"), 5)
     assert (r.counterexamples, r.descents, r.equivalent) == (0, 0, True)
+
+
+def test_audit_agrees_with_pointwise_definition(presentation):
+    p = presentation
+    for n in range(201):
+        report = audit(p, n)
+        assert report.counterexamples == sum(not p.predicate.evaluate(i) for i in range(n + 1))
+        assert report.descents == sum(p.less(i + 1, i) for i in range(n))
 
 
 def test_audit_report_text_shape():
