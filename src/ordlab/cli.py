@@ -23,7 +23,6 @@ from .formulas import (
     sv_star,
 )
 from .ordinals import (
-    DEFAULT_ENUM_CAP,
     compare,
     enumerate_terms,
     format_ordinal,
@@ -89,7 +88,7 @@ def _ord_next_phi(args):
 
 
 def _ord_enum(args):
-    terms = enumerate_terms(args.max_nodes, cap=DEFAULT_ENUM_CAP)
+    terms = enumerate_terms(args.max_nodes)
     return "\n".join(format_ordinal(t) for t in terms)
 
 

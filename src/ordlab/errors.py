@@ -8,17 +8,17 @@ attribute is the stable machine-parsable category the CLI prints.
 class OrdlabError(Exception):
     code = "error"
 
-
-class ParseError(OrdlabError):
-    """Bad surface syntax (ordinals, worms, theory expressions)."""
-
-    code = "parse"
-
     def __init__(self, message: str, position: int | None = None):
         if position is not None:
             message = f"{message} at position {position}"
         super().__init__(message)
         self.position = position
+
+
+class ParseError(OrdlabError):
+    """Bad surface syntax (ordinals, worms, theory expressions)."""
+
+    code = "parse"
 
 
 class RangeError(OrdlabError):
@@ -49,12 +49,6 @@ class PredicateError(OrdlabError):
     """Malformed predicate expression."""
 
     code = "predicate"
-
-    def __init__(self, message: str, position: int | None = None):
-        if position is not None:
-            message = f"{message} at position {position}"
-        super().__init__(message)
-        self.position = position
 
 
 class CaptureError(OrdlabError):

@@ -18,7 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from ._scan import Scanner
 from .errors import PredicateError, RangeError
+
+MAX_FUEL = 10**6
+"""Ceiling on the notation lab's fuel: the most predicate evaluations one
+window check, audit or descent search may ask for."""
 
 MAX_PREDICATE_DEPTH = 100
 """Deepest predicate accepted, counting both the parser's recursion (each
@@ -73,18 +78,14 @@ def eval_tree(tree: tuple, n: int):
     return _COMPARISONS[tag](eval_tree(tree[1], n), eval_tree(tree[2], n))
 
 
-class _PredicateParser:
+class _PredicateParser(Scanner):
     """Recursive descent: or < and < not < comparison < + < *.  Each rule
     returns a (tree, depth) pair, so a tree deeper than MAX_PREDICATE_DEPTH
     is refused as it is built."""
 
     def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+        super().__init__(text, PredicateError)
         self.level = 0
-
-    def error(self, message: str):
-        raise PredicateError(message, self.pos)
 
     def too_deep(self):
         # A RangeError, so that the backtracking in comparison() cannot
@@ -107,61 +108,35 @@ class _PredicateParser:
             self.too_deep()
         return (tag, *(tree for tree, _ in children)), depth
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def peek_word(self) -> str:
-        self.skip_ws()
-        end = self.pos
-        while end < len(self.text) and self.text[end].isalpha():
-            end += 1
-        return self.text[self.pos:end]
-
-    def take_word(self) -> str:
-        word = self.peek_word()
-        self.pos += len(word)
-        return word
-
     def or_expr(self) -> tuple:
         node = self.and_expr()
-        while self.peek_word() == "or":
-            self.take_word()
+        while self.keyword("or"):
             node = self.node("or", node, self.and_expr())
         return node
 
     def and_expr(self) -> tuple:
         node = self.not_expr()
-        while self.peek_word() == "and":
-            self.take_word()
+        while self.keyword("and"):
             node = self.node("and", node, self.not_expr())
         return node
 
     def not_expr(self) -> tuple:
-        if self.peek_word() == "not":
-            self.take_word()
+        if self.keyword("not"):
             return self.node("not", self.nested(self.not_expr))
         return self.comparison()
 
     def comparison(self) -> tuple:
-        word = self.peek_word()
-        if word in ("true", "false"):
-            self.take_word()
-            return ("bool", word == "true"), 1
+        if self.keyword("true"):
+            return ("bool", True), 1
+        if self.keyword("false"):
+            return ("bool", False), 1
         if self.peek() == "(":
             # parenthesized boolean, e.g. "(x != 7 and x != 9)"
             save = self.pos
             self.pos += 1
             try:
                 node = self.nested(self.or_expr)
-                self.skip_ws()
-                if self.peek() != ")":
-                    self.error("expected ')'")
-                self.pos += 1
+                self.eat(")")
                 return node
             except PredicateError:
                 self.pos = save
@@ -192,18 +167,11 @@ class _PredicateParser:
         if ch == "(":
             self.pos += 1
             node = self.nested(self.arith)
-            self.skip_ws()
-            if self.peek() != ")":
-                self.error("expected ')'")
-            self.pos += 1
+            self.eat(")")
             return node
-        if ch.isdigit():
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            return ("num", int(self.text[start:self.pos])), 1
-        if self.peek_word() == "x":
-            self.take_word()
+        if ch.isdecimal():
+            return ("num", self.numeral(cap=None)), 1
+        if self.keyword("x"):
             return ("var",), 1
         self.error("expected a numeral, 'x', or '('")
 
@@ -232,9 +200,7 @@ def _tree_to_python(tree: tuple) -> str:
 def parse_predicate(text: str) -> PredicateExpr:
     parser = _PredicateParser(text)
     tree, _ = parser.or_expr()
-    parser.skip_ws()
-    if parser.pos != len(text):
-        parser.error("trailing input")
+    parser.end()
     return PredicateExpr(text.strip(), tree, _compile_tree(tree))
 
 
@@ -278,6 +244,13 @@ def kreisel_presentation(predicate: PredicateExpr | str) -> Presentation:
     return Presentation(predicate, f"order of omega gated on [{predicate.source}]")
 
 
+def _check_fuel(fuel: int, window: int | None = None):
+    if fuel > MAX_FUEL:
+        raise RangeError(f"fuel {fuel} exceeds the cap {MAX_FUEL}")
+    if window is not None and window > fuel:
+        raise RangeError(f"window {window} exceeds the fuel cap {fuel}")
+
+
 def check_ascending(p: Presentation, n: int, fuel: int = 10000) -> bool:
     """True iff 0 < 1 < ... < n holds in the presentation order.
 
@@ -286,17 +259,15 @@ def check_ascending(p: Presentation, n: int, fuel: int = 10000) -> bool:
     ascends; so the answer is whether k is absent or k >= n.  One upward
     scan finds that with at most n evaluations of the predicate, none
     above n - 1."""
-    if n > fuel:
-        raise RangeError(f"window {n} exceeds the fuel cap {fuel}")
+    _check_fuel(fuel, n)
     return p.least_counterexample(n - 1) is None
 
 
-def find_descending(p: Presentation, fuel: int, cap: int = 10**6) -> Optional[list[int]]:
+def find_descending(p: Presentation, fuel: int) -> Optional[list[int]]:
     """A strictly descending chain starting at the least counterexample
     within the window, of length min(fuel, what the window holds); None when
     the predicate has no counterexample at or below fuel."""
-    if fuel > cap:
-        raise RangeError(f"fuel {fuel} exceeds the cap {cap}")
+    _check_fuel(fuel)
     k = p.least_counterexample(fuel)
     if k is None:
         return None
@@ -333,8 +304,7 @@ def audit(p: Presentation, n: int, fuel: int = 10000) -> AuditReport:
     the least counterexample k, then counts the counterexamples above it.
     By the three-zone rule the pair (i+1, i) descends exactly when i >= k,
     so there are n - k descents, or none without k."""
-    if n > fuel:
-        raise RangeError(f"window {n} exceeds the fuel cap {fuel}")
+    _check_fuel(fuel, n)
     k = p.least_counterexample(n)
     if k is None:
         counterexamples = descents = 0

@@ -18,11 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cmp_to_key, total_ordering
 
-from .errors import ParseError, RangeError
+from ._scan import DEFAULT_NAT_CAP, NAME, Scanner
+from .errors import RangeError
 
 LT, EQ, GT = -1, 0, 1
 
-DEFAULT_NAT_CAP = 2**32
 DEFAULT_ENUM_CAP = 10
 
 
@@ -59,12 +59,12 @@ ZERO = Ordinal()
 _ATOM_ONE = VeblenAtom(ZERO, ZERO)
 
 
-def from_int(n: int, nat_cap: int = DEFAULT_NAT_CAP) -> Ordinal:
+def from_int(n: int) -> Ordinal:
     """The finite ordinal n, stored as n copies of phi(0,0)."""
     if n < 0:
         raise RangeError("ordinals cannot be negative")
-    if n > nat_cap:
-        raise RangeError(f"numeral {n} exceeds the natural-number width {nat_cap}")
+    if n > DEFAULT_NAT_CAP:
+        raise RangeError(f"numeral {n} exceeds the natural-number width {DEFAULT_NAT_CAP}")
     if n == 0:
         return ZERO
     return Ordinal(((_ATOM_ONE, n),))
@@ -246,12 +246,12 @@ def term_size(x: Ordinal) -> int:
     return sum(c * (1 + term_size(a.index) + term_size(a.arg)) for a, c in x.parts)
 
 
-def enumerate_terms(max_nodes: int, cap: int = DEFAULT_ENUM_CAP) -> list[Ordinal]:
+def enumerate_terms(max_nodes: int) -> list[Ordinal]:
     """All canonical terms of structural size <= max_nodes, sorted ascending."""
     if max_nodes < 0:
         raise RangeError("max_nodes must be a natural number")
-    if max_nodes > cap:
-        raise RangeError(f"enumeration size {max_nodes} exceeds the cap {cap}")
+    if max_nodes > DEFAULT_ENUM_CAP:
+        raise RangeError(f"enumeration size {max_nodes} exceeds the cap {DEFAULT_ENUM_CAP}")
 
     terms_by_size: dict[int, list[Ordinal]] = {0: [ZERO]}
     atoms: list[tuple[VeblenAtom, int]] = []
@@ -302,48 +302,9 @@ def _sums_of_exact_size(atoms: list[tuple[VeblenAtom, int]], size: int) -> list[
 # Sugar: w = phi(0,1), e0 = phi(1,0), w^x = phi(0,x).  Non-normal input (for
 # instance a fixed-point argument) is normalized, never rejected.
 
-class _Parser:
-    def __init__(self, text: str, nat_cap: int):
-        self.text = text
-        self.pos = 0
-        self.nat_cap = nat_cap
-
-    def error(self, message: str):
-        raise ParseError(message, self.pos)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def eat(self, ch: str):
-        if self.peek() != ch:
-            self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def nat(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            self.error("expected a numeral")
-        n = int(self.text[start:self.pos])
-        if n > self.nat_cap:
-            raise RangeError(
-                f"numeral {n} at position {start} exceeds the natural-number width {self.nat_cap}"
-            )
-        return n
-
-    def word(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (self.text[self.pos].isalnum() or self.text[self.pos] == "_"):
-            self.pos += 1
-        return self.text[start:self.pos]
+class _Parser(Scanner):
+    """The ordinal grammar's rules.  The theory grammar runs on a _Parser
+    too, so it reads iteration counts in place with these rules."""
 
     def sum(self) -> Ordinal:
         value = self.prod()
@@ -356,7 +317,7 @@ class _Parser:
         value = self.atom()
         if self.peek() == "*":
             self.pos += 1
-            value = mul_nat(value, self.nat())
+            value = mul_nat(value, self.numeral())
         return value
 
     def atom(self) -> Ordinal:
@@ -366,10 +327,11 @@ class _Parser:
             value = self.sum()
             self.eat(")")
             return value
-        if ch.isdigit():
-            return from_int(self.nat(), self.nat_cap)
+        if ch.isdecimal():
+            return from_int(self.numeral())
         if ch.isalpha():
-            name = self.word()
+            start = self.pos
+            name = self.word(NAME)
             if name == "w":
                 if self.peek() == "^":
                     self.pos += 1
@@ -384,27 +346,16 @@ class _Parser:
                 b = self.sum()
                 self.eat(")")
                 return veblen(a, b)
-            self.pos -= len(name)
-            self.error(f"unknown name {name!r}")
+            self.error(f"unknown name {name!r}", start)
         self.error("expected an ordinal term")
 
 
-def parse_ordinal(text: str, nat_cap: int = DEFAULT_NAT_CAP) -> Ordinal:
+def parse_ordinal(text: str) -> Ordinal:
     """Parse the ordinal grammar; returns the canonical normal form."""
-    parser = _Parser(text, nat_cap)
+    parser = _Parser(text)
     value = parser.sum()
-    parser.skip_ws()
-    if parser.pos != len(text):
-        parser.error("trailing input")
+    parser.end()
     return value
-
-
-def parse_ordinal_prefix(text: str, pos: int, nat_cap: int = DEFAULT_NAT_CAP) -> tuple[Ordinal, int]:
-    """Parse an ordinal starting at pos; returns (value, position after it)."""
-    parser = _Parser(text, nat_cap)
-    parser.pos = pos
-    value = parser.sum()
-    return value, parser.pos
 
 
 def format_ordinal(x: Ordinal) -> str:

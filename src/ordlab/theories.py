@@ -18,7 +18,8 @@ import importlib.resources
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import CatalogError, ParseError, RangeError, ShapeError
+from ._scan import LETTERS, TOKEN, Scanner, numeral_value
+from .errors import CatalogError, RangeError, ShapeError
 from .ordinals import (
     EPSILON0,
     ONE,
@@ -30,9 +31,9 @@ from .ordinals import (
     is_natural,
     mul_nat,
     next_phi_value,
-    parse_ordinal_prefix,
     to_int,
     veblen,
+    _Parser,
 )
 from .worms import Worm, worm_ordinal
 
@@ -85,7 +86,6 @@ TRANSFORMS = ("level-drop-omega-power", "concatenation", "pa-con-product")
 class ReductionRule:
     name: str
     pattern: "Pattern"
-    target_level: int
     ordinal_transform: str
     citation: str
 
@@ -105,36 +105,47 @@ class Pattern:
 
 
 def parse_pattern(text: str) -> Pattern:
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    pattern, rest = _pattern_from(tokens)
-    if rest:
+    scan = Scanner(text, CatalogError)
+    pattern = _pattern(scan)
+    if scan.peek():
         raise CatalogError(f"trailing tokens in pattern {text!r}")
     return pattern
 
 
-def _pattern_from(tokens: list[str]) -> tuple[Pattern, list[str]]:
-    if not tokens:
-        raise CatalogError("empty pattern")
-    head, tokens = tokens[0], tokens[1:]
-    if head != "(":
+def _token(scan: Scanner) -> str:
+    scan.skip_ws()
+    return scan.word(TOKEN)
+
+
+def _pattern(scan: Scanner) -> Pattern:
+    ch = scan.peek()
+    if ch != "(":
+        head = scan.word(TOKEN)
         if head in ("EA+", "PA"):
-            return Pattern("base", base=head), tokens
+            return Pattern("base", base=head)
         if head.isalpha() and head.islower():
-            return Pattern("theory-var", var=head), tokens
-        raise CatalogError(f"bad pattern token {head!r}")
-    if not tokens or tokens[0] != "rfn":
+            return Pattern("theory-var", var=head)
+        raise CatalogError(f"bad pattern token {head or ch!r}" if ch else "empty pattern")
+    scan.pos += 1
+    if _token(scan) != "rfn":
         raise CatalogError("only (rfn ...) patterns are supported")
-    level_tok, iter_tok = tokens[1], tokens[2]
-    if level_tok.isdigit():
-        level = ("lit", int(level_tok))
+    scan.skip_ws()
+    start = scan.pos
+    level_tok = scan.word(TOKEN)
+    if level_tok.isdecimal():
+        level = ("lit", numeral_value(level_tok, start))
     elif level_tok.endswith("+1"):
         level = ("succ", level_tok[:-2])
     else:
         level = ("var", level_tok)
-    body, tokens = _pattern_from(tokens[3:])
-    if not tokens or tokens[0] != ")":
+    iter_var = _token(scan)
+    if not level_tok or not iter_var:
+        raise CatalogError("an (rfn ...) pattern needs a level, an iteration variable and a body")
+    body = _pattern(scan)
+    if scan.peek() != ")":
         raise CatalogError("unbalanced pattern parentheses")
-    return Pattern("rfn", level=level, iter_var=iter_tok, body=body), tokens[1:]
+    scan.pos += 1
+    return Pattern("rfn", level=level, iter_var=iter_var, body=body)
 
 
 def pattern_matches(pattern: Pattern, expr: TheoryExpr, bindings: dict | None = None) -> bool:
@@ -207,8 +218,7 @@ def parse_rules(text: str) -> RuleSet:
         if not sep or not citation:
             raise CatalogError(f"rules line {lineno}: every rule needs a citation")
         pattern = parse_pattern(pattern_text.strip())
-        target = pattern.level[1] if pattern.kind == "rfn" and pattern.level[0] == "lit" else 1
-        rules.append(ReductionRule(name.strip(), pattern, target, transform, citation))
+        rules.append(ReductionRule(name.strip(), pattern, transform, citation))
     return RuleSet(rules)
 
 
@@ -358,62 +368,45 @@ def omega_model_dilator(alpha: Ordinal | int, beta: Ordinal | int) -> Ordinal:
 # Text format (s-expressions)
 
 def parse_theory(text: str) -> TheoryExpr:
-    expr, pos = _parse_theory_at(text, 0)
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    if pos != len(text):
-        raise ParseError("trailing input after theory expression", pos)
+    parser = _Parser(text)
+    expr = _theory(parser)
+    parser.end("trailing input after theory expression")
     return expr
 
 
-def _parse_theory_at(text: str, pos: int) -> tuple[TheoryExpr, int]:
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    if pos >= len(text):
-        raise ParseError("expected a theory expression", pos)
-    if text[pos] != "(":
-        start = pos
-        while pos < len(text) and text[pos] not in "() \t\n":
-            pos += 1
-        name = text[start:pos]
+def _theory(p: _Parser) -> TheoryExpr:
+    """theory := base | "(rfn" level ord theory ")" | "(con" ord theory ")",
+    with the iterations read by the ordinal grammar on the same scanner."""
+    ch = p.peek()
+    if not ch:
+        p.error("expected a theory expression")
+    if ch != "(":
+        start = p.pos
+        name = p.word(TOKEN)
         if name in ("EA+", "PA"):
-            return Base(name), pos
-        raise ParseError(f"unknown theory name {name!r}", start)
-    pos += 1
-    start = pos
-    while pos < len(text) and text[pos].isalpha():
-        pos += 1
-    head = text[start:pos]
+            return Base(name)
+        p.error(f"unknown theory name {name!r}", start)
+    p.pos += 1
+    start = p.pos
+    head = p.word(LETTERS)
     if head == "rfn":
-        level, pos = _parse_nat_at(text, pos)
+        if not p.peek().isdecimal():
+            p.error("expected a reflection level")
+        level = p.numeral()
     elif head == "con":
         level = 1
     else:
-        raise ParseError(f"expected 'rfn' or 'con', got {head!r}", start)
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    iterations, pos = parse_ordinal_prefix(text, pos)
-    over, pos = _parse_theory_at(text, pos)
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    if pos >= len(text) or text[pos] != ")":
-        raise ParseError("expected ')'", pos)
+        p.error(f"expected 'rfn' or 'con', got {head!r}", start)
+    iterations = p.sum()
+    over = _theory(p)
+    if p.peek() != ")":
+        p.error("expected ')'")
     if iterations.is_zero():
-        raise ParseError("reflection iterations must be > 0", pos)
+        p.error("reflection iterations must be > 0")
     if level < 1:
-        raise ParseError("reflection level must be >= 1", pos)
-    return Reflect(level, iterations, over), pos + 1
-
-
-def _parse_nat_at(text: str, pos: int) -> tuple[int, int]:
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    start = pos
-    while pos < len(text) and text[pos].isdigit():
-        pos += 1
-    if pos == start:
-        raise ParseError("expected a reflection level", pos)
-    return int(text[start:pos]), pos
+        p.error("reflection level must be >= 1")
+    p.pos += 1
+    return Reflect(level, iterations, over)
 
 
 def format_theory(t: TheoryExpr) -> str:

@@ -12,12 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from ._scan import numeral_value
 from .errors import ParseError, RangeError, WormError
 from .ordinals import (
     EPSILON0,
     ONE,
     ZERO,
-    DEFAULT_NAT_CAP,
     Ordinal,
     add,
     compare,
@@ -113,21 +113,17 @@ def theory_of_worm(w: Worm):
     return expr
 
 
-def parse_worm(text: str, nat_cap: int = DEFAULT_NAT_CAP) -> Worm:
+def parse_worm(text: str) -> Worm:
     """Space-separated decimal letters; the empty worm is written "T"."""
-    stripped = text.strip()
-    if stripped == "T":
+    if text.strip() == "T":
         return TOP
-    if not stripped:
-        raise ParseError("empty worm text; the empty worm is written 'T'")
     letters = []
-    for piece in stripped.split():
-        if not piece.isdigit():
+    for piece in text.split():
+        if not piece.isdecimal():
             raise ParseError(f"bad worm letter {piece!r}")
-        value = int(piece)
-        if value > nat_cap:
-            raise RangeError(f"worm letter {value} exceeds the natural-number width {nat_cap}")
-        letters.append(value)
+        letters.append(numeral_value(piece))
+    if not letters:
+        raise ParseError("empty worm text; the empty worm is written 'T'")
     return Worm(tuple(letters))
 
 

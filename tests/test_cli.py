@@ -1,8 +1,12 @@
+import os
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import ordlab
 from ordlab.cli import run
 
 GOLDEN_CORPUS = [
@@ -133,6 +137,69 @@ def test_domain_error_exit_1_and_empty_stdout(capsys):
     assert code == 1 and out == "" and err.startswith("error: catalog:")
 
 
+# Each grammar's error line, message and position included.
+@pytest.mark.parametrize("argv, line", [
+    (("ord", "normalize", "phi(1,2"), "error: parse: expected ')' at position 7"),
+    (("ord", "normalize", "w^^"), "error: parse: expected an ordinal term at position 2"),
+    (("ord", "normalize", "1 2"), "error: parse: trailing input at position 2"),
+    (("ord", "normalize", "foo"), "error: parse: unknown name 'foo' at position 0"),
+    (("ord", "normalize", "w*x"), "error: parse: expected a numeral at position 2"),
+    (("theory", "pi-ordinal", "(rfn 2 0 EA+)", "1"),
+     "error: parse: reflection iterations must be > 0 at position 12"),
+    (("theory", "pi-ordinal", "(foo 1 EA+)", "1"),
+     "error: parse: expected 'rfn' or 'con', got 'foo' at position 1"),
+    (("theory", "pi-ordinal", "(rfn 2 1 EA)", "1"), "error: parse: unknown theory name 'EA' at position 9"),
+    (("theory", "pi-ordinal", "(rfn 2 1 EA+", "1"), "error: parse: expected ')' at position 12"),
+    (("theory", "pi-ordinal", "(rfn x 1 EA+)", "1"), "error: parse: expected a reflection level at position 5"),
+    (("theory", "pi-ordinal", "(rfn 0 1 EA+)", "1"), "error: parse: reflection level must be >= 1 at position 12"),
+    (("theory", "pi-ordinal", "(rfn 2 1 EA+) x", "1"),
+     "error: parse: trailing input after theory expression at position 14"),
+    (("theory", "pi-ordinal", "(rfn 2 1 (con EA+))", "1"), "error: parse: unknown name 'EA' at position 14"),
+    (("worm", "o", "1 x 2"), "error: parse: bad worm letter 'x'"),
+    (("worm", "o", ""), "error: parse: empty worm text; the empty worm is written 'T'"),
+    (("notation", "audit", "x !! 7", "10"), "error: predicate: expected a comparison operator at position 2"),
+    (("notation", "audit", "y = 1", "10"), "error: predicate: expected a numeral, 'x', or '(' at position 0"),
+    (("notation", "audit", "(x != 1", "10"), "error: predicate: expected ')' at position 3"),
+    (("notation", "audit", "x = 1 x", "10"), "error: predicate: trailing input at position 6"),
+])
+def test_error_lines(capsys, argv, line):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out, err) == (1, "", line + "\n")
+
+
+@pytest.mark.parametrize("argv, code", [
+    # Digits are str.isdecimal characters: "²" is a digit to str.isdigit but
+    # not a numeral, while "١" (Arabic-Indic one) is.
+    (("ord", "normalize", "²"), "parse"),
+    (("worm", "o", "1 ²"), "parse"),
+    (("theory", "reduce", "(rfn ² 1 EA+)", "1"), "parse"),
+    (("notation", "kreisel", "x != ²", "5"), "predicate"),
+    # No numeral is wider than 4300 digits, predicates included.
+    (("ord", "normalize", "9" * 4301), "range"),
+    (("worm", "o", "1 " + "9" * 5000), "range"),
+    (("theory", "pi-ordinal", "(rfn " + "9" * 4301 + " 1 EA+)", "1"), "range"),
+    (("notation", "audit", "x != " + "9" * 4301, "10"), "range"),
+    # Reflection levels share the natural-number width 2**32.
+    (("theory", "pi-ordinal", "(rfn 4294967297 1 EA+)", "1"), "range"),
+    (("theory", "pi-ordinal", "(rfn 99999999999 1 EA+)", "1"), "range"),
+])
+def test_numeral_rule_errors(capsys, argv, code):
+    start = time.perf_counter()
+    status, out, err = invoke(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert status == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {code}: ")
+
+
+def test_numeral_rule_accepts(capsys):
+    assert invoke(capsys, "ord", "normalize", "١")[:2] == (0, "1\n")
+    assert invoke(capsys, "theory", "pi-ordinal", "(rfn ٢ 1 EA+)", "1")[:2] == (0, "w\n")
+    assert invoke(capsys, "ord", "normalize", "4294967296")[:2] == (0, "4294967296\n")
+    # Predicate numerals have no width below the 4300-digit limit.
+    code, out, _ = invoke(capsys, "notation", "kreisel", "x != " + "9" * 4300, "10")
+    assert code == 0 and out.endswith("ascending: yes\n")
+
+
 @pytest.mark.parametrize("predicate", [
     "x" + "*x" * 299 + " >= 0",
     "not " * 300 + "x = 1",
@@ -142,6 +209,17 @@ def test_deep_predicate_is_a_range_error(capsys, predicate):
     code, out, err = invoke(capsys, "notation", "audit", predicate, "10")
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: range:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--fuel", "10000000", "notation", "audit", "true", "10000000"),
+    ("--fuel", "2000000", "notation", "kreisel", "true", "5"),
+    ("--fuel", "2000000", "notation", "descend", "true"),
+])
+def test_fuel_above_ceiling_is_a_range_error(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error: range: fuel " + argv[1] + " exceeds the cap 1000000\n"
 
 
 def test_usage_error_exit_2(capsys):
@@ -159,10 +237,14 @@ def test_unknown_catalog_vs_sexpr(capsys):
 # --- real process -------------------------------------------------------------------
 
 def _run_process(*argv):
+    # The child imports the same ordlab as this process, installed or not.
+    src = str(Path(ordlab.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "ordlab.cli", *argv],
         capture_output=True,
         timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 from ordlab.errors import PredicateError, RangeError
 from ordlab.notation import (
+    MAX_FUEL,
     MAX_PREDICATE_DEPTH,
     Presentation,
     audit,
@@ -167,6 +168,12 @@ def test_fuel_cap():
         check_ascending(p, 101, fuel=100)
     with pytest.raises(RangeError):
         audit(p, 101, fuel=100)
+    for window_op in (check_ascending, audit):
+        window_op(p, 5, fuel=MAX_FUEL)
+        with pytest.raises(RangeError):
+            window_op(p, 5, fuel=MAX_FUEL + 1)
+    with pytest.raises(RangeError):
+        find_descending(p, MAX_FUEL + 1)
 
 
 # --- find_descending -------------------------------------------------------------------

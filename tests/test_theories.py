@@ -205,6 +205,11 @@ def test_rule_file_rejects_bad_lines():
         parse_rules("rule broken: (rfn n a t) => concatenation")
     with pytest.raises(CatalogError):
         parse_rules("this is not a rule line")
+    with pytest.raises(CatalogError):
+        parse_rules("rule x: (rfn => concatenation cite y")
+    for short in ("(rfn", "(rfn 1", "(rfn n a", "(rfn n a t", ")", ""):
+        with pytest.raises(CatalogError):
+            parse_pattern(short)
 
 
 def test_reduction_requires_rules():
@@ -222,6 +227,11 @@ def test_pattern_matching():
     concat = parse_pattern("(rfn n a (rfn n b t))")
     assert pattern_matches(concat, Reflect(2, ONE, Reflect(2, OMEGA, EA_PLUS)))
     assert not pattern_matches(concat, Reflect(2, ONE, Reflect(1, OMEGA, EA_PLUS)))
+    # Only a numeral is a level literal; any other token is a level variable.
+    assert parse_pattern("(rfn ² a t)").level == ("var", "²")
+    assert parse_pattern("(rfn 2x a t)").level == ("var", "2x")
+    with pytest.raises(RangeError):
+        parse_pattern("(rfn 99999999999 a t)")
     pa_pat = parse_pattern("(rfn 1 a PA)")
     assert pattern_matches(pa_pat, Reflect(1, from_int(2), PA))
     assert not pattern_matches(pa_pat, Reflect(1, from_int(2), EA_PLUS))
@@ -236,6 +246,8 @@ def test_pattern_matching():
     ("(rfn 2 w EA+)", Reflect(2, OMEGA, EA_PLUS)),
     ("(rfn 1 w+1 PA)", Reflect(1, add(OMEGA, ONE), PA)),
     ("(con 2 (rfn 3 1 EA+))", Reflect(1, from_int(2), Reflect(3, ONE, EA_PLUS))),
+    # Any whitespace ends a base name, as it separates tokens everywhere else.
+    ("(con 1 EA+\r)", Reflect(1, ONE, EA_PLUS)),
 ])
 def test_parse_theory(text, expected):
     assert parse_theory(text) == expected
