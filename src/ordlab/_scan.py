@@ -1,5 +1,6 @@
 """The scanner under every text grammar (ordinals, theories, rule patterns,
-predicates) and the one numeral rule, which worm letters follow too."""
+predicates), the one numeral rule, which worm letters follow too, and the
+limits every value is made under."""
 
 from __future__ import annotations
 
@@ -8,8 +9,13 @@ from typing import NoReturn
 
 from .errors import OrdlabError, ParseError, RangeError
 
-DEFAULT_NAT_CAP = 2**32
-"""Largest ordinal numeral, worm letter or reflection level."""
+MAX_WIDTH = 2**32
+"""Longest run of equal atoms in an ordinal, a natural number included."""
+
+MAX_DEPTH = 100
+"""Deepest nesting in every grammar, and the highest reflection level or
+worm letter: each nested term, level or letter adds one level to the
+recursion that builds, compares and prints a value."""
 
 MAX_NUMERAL_DIGITS = 4300
 """Longest numeral: CPython's default limit for int() on a decimal string."""
@@ -22,29 +28,30 @@ LETTERS = re.compile(r"[^\W\d_]*")
 TOKEN = re.compile(r"[^\s()]*")
 
 
-def numeral_value(digits: str, position: int | None = None, cap: int | None = DEFAULT_NAT_CAP) -> int:
+def numeral_value(digits: str) -> int:
     """The numeral rule: ``digits``, decimal digits in any script, may be at
-    most MAX_NUMERAL_DIGITS long and, unless ``cap`` is None, at most ``cap``
-    in value; a numeral too wide is a RangeError, naming ``position`` if given."""
+    most MAX_NUMERAL_DIGITS long; a longer numeral is a RangeError."""
     if len(digits) > MAX_NUMERAL_DIGITS:
-        raise RangeError(f"numeral{_at(position)} is longer than {MAX_NUMERAL_DIGITS} digits")
-    n = int(digits)
-    if cap is not None and n > cap:
-        raise RangeError(f"numeral {n}{_at(position)} exceeds the natural-number width {cap}")
+        raise RangeError(f"numeral is longer than {MAX_NUMERAL_DIGITS} digits")
+    return int(digits)
+
+
+def within_depth(n: int, what: str) -> int:
+    """``n``, a reflection level, worm letter or worm length, under the depth cap."""
+    if n > MAX_DEPTH:
+        raise RangeError(f"{what} {n} exceeds the depth cap {MAX_DEPTH}")
     return n
-
-
-def _at(position: int | None) -> str:
-    return "" if position is None else f" at position {position}"
 
 
 class Scanner:
     """A position in ``text``.  Syntax errors are raised as ``error_type``
-    with the position; a numeral too wide is a RangeError."""
+    with the position; a numeral too long, or nesting deeper than
+    MAX_DEPTH, is a RangeError."""
 
     def __init__(self, text: str, error_type: type[OrdlabError] = ParseError):
         self.text = text
         self.pos = 0
+        self.depth = 0
         self.error_type = error_type
 
     def error(self, message: str, position: int | None = None) -> NoReturn:
@@ -80,14 +87,24 @@ class Scanner:
             return True
         return False
 
-    def numeral(self, cap: int | None = DEFAULT_NAT_CAP) -> int:
+    def numeral(self) -> int:
         """The numeral at the cursor, under numeral_value's rule."""
         self.skip_ws()
-        start = self.pos
         digits = self.word(DIGITS)
         if not digits:
             self.error("expected a numeral")
-        return numeral_value(digits, start, cap)
+        return numeral_value(digits)
+
+    def nested(self, rule, *args):
+        """``rule(*args)`` one nesting level down: every grammar's recursion
+        guard, raising a RangeError, which no grammar's backtracking catches."""
+        if self.depth == MAX_DEPTH:
+            raise RangeError(f"nesting exceeds the depth cap {MAX_DEPTH}", self.pos)
+        self.depth += 1
+        try:
+            return rule(*args)
+        finally:
+            self.depth -= 1
 
     def end(self, message: str = "trailing input"):
         self.skip_ws()

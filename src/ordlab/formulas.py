@@ -12,6 +12,7 @@ Rendering supports UTF-8 and a pure-ASCII mode; both are deterministic.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -259,7 +260,7 @@ def con_star_equation(alpha_name: str, theory_name: str, ascii_mode: bool = Fals
         raise RangeError("con_star_equation needs nonempty names")
     bound = next(
         b for b in _BOUND_CHOICES
-        if b != alpha_name and _GREEK_ASCII.get(b, b) != alpha_name
+        if b != alpha_name and b.translate(_ASCII) != alpha_name
     )
     a, t = alpha_name, theory_name
     text = (
@@ -278,33 +279,25 @@ def con_star_equation(alpha_name: str, theory_name: str, ascii_mode: bool = Fals
 
 _PREC = {Implies: 1, Or: 2, And: 3}
 
-_GREEK_ASCII = {
-    "φ": "phi", "ψ": "psi", "θ": "theta", "α": "alpha", "β": "beta",
-    "γ": "gamma", "δ": "delta", "ξ": "xi",
-}
-
 _SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 
-_ASCII_TOKENS = {
+_ASCII = str.maketrans({
+    "φ": "phi", "ψ": "psi", "θ": "theta", "α": "alpha", "β": "beta",
+    "γ": "gamma", "δ": "delta", "ξ": "xi",
     "↓": "|", "→": "->", "↔": "<->", "∧": "and", "∨": "or", "¬": "not ",
     "⊤": "top", "⊢": "|-", "≺": "<", "⌜": "[", "⌝": "]", "★": "*", "≤": "<=",
-}
+    "∀": "forall ", "∃": "exists ", **dict(zip("⁰¹²³⁴⁵⁶⁷⁸⁹", "0123456789")),
+})
+
+# ASCII mode also writes a power as "^n" and spaces a binder from its body:
+# "Con²" becomes "Con^2" and "∀x(" becomes "forall x (".
+_ASCII_POWER = re.compile("[⁰¹²³⁴⁵⁶⁷⁸⁹]+")
+_ASCII_BINDER = re.compile(r"([∀∃]\w+)\(")
 
 
 def _transliterate(text: str) -> str:
-    out = []
-    for ch in text:
-        if ch in _GREEK_ASCII:
-            out.append(_GREEK_ASCII[ch])
-        elif ch in _ASCII_TOKENS:
-            out.append(_ASCII_TOKENS[ch])
-        elif ch == "∀":
-            out.append("forall ")
-        elif ch == "∃":
-            out.append("exists ")
-        else:
-            out.append(ch)
-    return "".join(out)
+    text = _ASCII_BINDER.sub(r"\1 (", _ASCII_POWER.sub(r"^\g<0>", text))
+    return text.translate(_ASCII)
 
 
 def _term_text(t: Term) -> str:
@@ -312,54 +305,43 @@ def _term_text(t: Term) -> str:
 
 
 def pretty(f: Formula, ascii_mode: bool = False) -> str:
-    return _render(f, ascii_mode)
+    """UTF-8 text of ``f``; in ASCII mode that text transliterated."""
+    text = _render(f)
+    return _transliterate(text) if ascii_mode else text
 
 
-def _name(symbol: str, ascii_mode: bool) -> str:
-    if not ascii_mode:
-        return symbol
-    return "".join(_GREEK_ASCII.get(ch, ch) for ch in symbol)
-
-
-def _render(f: Formula, a: bool) -> str:
+def _render(f: Formula) -> str:
     if isinstance(f, Verum):
-        return "top" if a else "⊤"
+        return "⊤"
     if isinstance(f, Hole):
-        return _name(f.name, a)
+        return f.name
     if isinstance(f, Equals):
         return f"{_term_text(f.left)} = {_term_text(f.right)}"
     if isinstance(f, Leq):
-        op = "<=" if a else "≤"
-        return f"{_term_text(f.left)} {op} {_term_text(f.right)}"
+        return f"{_term_text(f.left)} ≤ {_term_text(f.right)}"
     if isinstance(f, Defined):
-        return f"{f.function}({_term_text(f.argument)}){'|' if a else '↓'}"
+        return f"{f.function}({_term_text(f.argument)})↓"
     if isinstance(f, ConAtom):
-        if f.power == 1:
-            head = "Con"
-        elif a:
-            head = f"Con^{f.power}"
-        else:
-            head = "Con" + str(f.power).translate(_SUPERSCRIPTS)
-        return f"{head}({_theory_text(f.theory, a)})"
+        head = "Con" if f.power == 1 else "Con" + str(f.power).translate(_SUPERSCRIPTS)
+        return f"{head}({_theory_text(f.theory)})"
     if isinstance(f, Not):
-        body = _render(f.body, a)
+        body = _render(f.body)
         if type(f.body) in _PREC:
             body = f"({body})"
-        return ("not " if a else "¬") + body
+        return "¬" + body
     if isinstance(f, (And, Or, Implies)):
-        op = {And: ("∧", "and"), Or: ("∨", "or"), Implies: ("→", "->")}[type(f)]
-        left = _child(f.left, f, right_side=False, a=a)
-        right = _child(f.right, f, right_side=True, a=a)
-        return f"{left} {op[1] if a else op[0]} {right}"
+        op = {And: "∧", Or: "∨", Implies: "→"}[type(f)]
+        left = _child(f.left, f, right_side=False)
+        right = _child(f.right, f, right_side=True)
+        return f"{left} {op} {right}"
     if isinstance(f, (ForAll, Exists)):
-        quant = ("forall " if a else "∀") if isinstance(f, ForAll) else ("exists " if a else "∃")
-        sep = " " if a else ""
-        return f"{quant}{f.var}{sep}({_render(f.body, a)})"
+        quant = "∀" if isinstance(f, ForAll) else "∃"
+        return f"{quant}{f.var}({_render(f.body)})"
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _child(child: Formula, parent: Formula, right_side: bool, a: bool) -> str:
-    text = _render(child, a)
+def _child(child: Formula, parent: Formula, right_side: bool) -> str:
+    text = _render(child)
     if type(child) not in _PREC:
         return text
     if type(child) is type(parent):
@@ -370,12 +352,12 @@ def _child(child: Formula, parent: Formula, right_side: bool, a: bool) -> str:
     return f"({text})"
 
 
-def _theory_text(ref: TheoryRef, a: bool) -> str:
+def _theory_text(ref: TheoryRef) -> str:
     text = ref.base
     if ref.index is not None:
         text += f"_{_term_text(ref.index)}"
     if ref.added is not None:
-        added = _render(ref.added, a)
+        added = _render(ref.added)
         if type(ref.added) in _PREC:
             added = f"({added})"
         text += f" + {added}"

@@ -18,18 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ._scan import Scanner
+from ._scan import MAX_DEPTH, Scanner
 from .errors import PredicateError, RangeError
 
 MAX_FUEL = 10**6
 """Ceiling on the notation lab's fuel: the most predicate evaluations one
 window check, audit or descent search may ask for."""
-
-MAX_PREDICATE_DEPTH = 100
-"""Deepest predicate accepted, counting both the parser's recursion (each
-open '(' and each 'not') and the depth of the tree it builds.  The compiled
-form nests one pair of parentheses per tree level, and CPython's compiler
-refuses more than 200."""
 
 _COMPARISONS = {
     "<=": lambda a, b: a <= b,
@@ -79,33 +73,18 @@ def eval_tree(tree: tuple, n: int):
 
 
 class _PredicateParser(Scanner):
-    """Recursive descent: or < and < not < comparison < + < *.  Each rule
-    returns a (tree, depth) pair, so a tree deeper than MAX_PREDICATE_DEPTH
-    is refused as it is built."""
-
-    def __init__(self, text: str):
-        super().__init__(text, PredicateError)
-        self.level = 0
-
-    def too_deep(self):
-        # A RangeError, so that the backtracking in comparison() cannot
-        # swallow it as a failed parse.
-        raise RangeError(f"predicate nesting exceeds the depth cap {MAX_PREDICATE_DEPTH}")
-
-    def nested(self, rule) -> tuple:
-        """Apply ``rule`` one recursion level down."""
-        if self.level == MAX_PREDICATE_DEPTH:
-            self.too_deep()
-        self.level += 1
-        try:
-            return rule()
-        finally:
-            self.level -= 1
+    """Recursive descent: or < and < not < comparison < + < *; each "(" and
+    "not" nests one level.  Each rule returns a (tree, depth) pair, so a
+    tree deeper than MAX_DEPTH is refused as it is built: the compiled form
+    nests one pair of parentheses per tree level, and CPython's compiler
+    refuses more than 200."""
 
     def node(self, tag: str, *children: tuple) -> tuple:
         depth = 1 + max(d for _, d in children)
-        if depth > MAX_PREDICATE_DEPTH:
-            self.too_deep()
+        if depth > MAX_DEPTH:
+            # A RangeError, so that the backtracking in comparison() cannot
+            # swallow it as a failed parse.
+            raise RangeError(f"predicate tree deeper than the depth cap {MAX_DEPTH}")
         return (tag, *(tree for tree, _ in children)), depth
 
     def or_expr(self) -> tuple:
@@ -170,7 +149,7 @@ class _PredicateParser(Scanner):
             self.eat(")")
             return node
         if ch.isdecimal():
-            return ("num", self.numeral(cap=None)), 1
+            return ("num", self.numeral()), 1
         if self.keyword("x"):
             return ("var",), 1
         self.error("expected a numeral, 'x', or '('")
@@ -198,7 +177,7 @@ def _tree_to_python(tree: tuple) -> str:
 
 
 def parse_predicate(text: str) -> PredicateExpr:
-    parser = _PredicateParser(text)
+    parser = _PredicateParser(text, PredicateError)
     tree, _ = parser.or_expr()
     parser.end()
     return PredicateExpr(text.strip(), tree, _compile_tree(tree))

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cmp_to_key, total_ordering
 
-from ._scan import DEFAULT_NAT_CAP, NAME, Scanner
+from ._scan import MAX_WIDTH, NAME, Scanner
 from .errors import RangeError
 
 LT, EQ, GT = -1, 0, 1
@@ -63,8 +63,8 @@ def from_int(n: int) -> Ordinal:
     """The finite ordinal n, stored as n copies of phi(0,0)."""
     if n < 0:
         raise RangeError("ordinals cannot be negative")
-    if n > DEFAULT_NAT_CAP:
-        raise RangeError(f"numeral {n} exceeds the natural-number width {DEFAULT_NAT_CAP}")
+    if n > MAX_WIDTH:
+        raise RangeError(f"numeral {n} exceeds the natural-number width {MAX_WIDTH}")
     if n == 0:
         return ZERO
     return Ordinal(((_ATOM_ONE, n),))
@@ -140,7 +140,7 @@ def add(x: Ordinal | int, y: Ordinal | int) -> Ordinal:
         i -= 1
     head = x.parts[:i]
     if head and _compare_atoms(head[-1][0], lead) == EQ:
-        merged = (lead, head[-1][1] + y.parts[0][1])
+        merged = _run(lead, head[-1][1] + y.parts[0][1])
         return Ordinal(head[:-1] + (merged,) + y.parts[1:])
     return Ordinal(head + y.parts)
 
@@ -158,7 +158,14 @@ def mul_nat(x: Ordinal | int, n: int) -> Ordinal:
     if n == 0 or x.is_zero():
         return ZERO
     (lead, c), rest = x.parts[0], x.parts[1:]
-    return Ordinal(((lead, c * n),) + rest)
+    return Ordinal((_run(lead, c * n),) + rest)
+
+
+def _run(atom: VeblenAtom, count: int) -> tuple[VeblenAtom, int]:
+    """The run of ``count`` copies of ``atom``, under the width rule."""
+    if count > MAX_WIDTH:
+        raise RangeError(f"run count {count} exceeds the natural-number width {MAX_WIDTH}")
+    return atom, count
 
 
 def veblen(a: Ordinal | int, b: Ordinal | int) -> Ordinal:
@@ -300,7 +307,8 @@ def _sums_of_exact_size(atoms: list[tuple[VeblenAtom, int]], size: int) -> list[
 #            atom    := nat | "w" | "w^" atom | "e0" | "phi(" ord "," ord ")"
 #                     | "(" ord ")"
 # Sugar: w = phi(0,1), e0 = phi(1,0), w^x = phi(0,x).  Non-normal input (for
-# instance a fixed-point argument) is normalized, never rejected.
+# instance a fixed-point argument) is normalized, never rejected.  Each "(",
+# "w^" and "phi(" nests one level, at most MAX_DEPTH in all.
 
 class _Parser(Scanner):
     """The ordinal grammar's rules.  The theory grammar runs on a _Parser
@@ -324,7 +332,7 @@ class _Parser(Scanner):
         ch = self.peek()
         if ch == "(":
             self.pos += 1
-            value = self.sum()
+            value = self.nested(self.sum)
             self.eat(")")
             return value
         if ch.isdecimal():
@@ -335,15 +343,15 @@ class _Parser(Scanner):
             if name == "w":
                 if self.peek() == "^":
                     self.pos += 1
-                    return veblen(ZERO, self.atom())
+                    return veblen(ZERO, self.nested(self.atom))
                 return OMEGA
             if name == "e0":
                 return EPSILON0
             if name == "phi":
                 self.eat("(")
-                a = self.sum()
+                a = self.nested(self.sum)
                 self.eat(",")
-                b = self.sum()
+                b = self.nested(self.sum)
                 self.eat(")")
                 return veblen(a, b)
             self.error(f"unknown name {name!r}", start)

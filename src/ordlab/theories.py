@@ -18,7 +18,7 @@ import importlib.resources
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ._scan import LETTERS, TOKEN, Scanner, numeral_value
+from ._scan import LETTERS, TOKEN, Scanner, numeral_value, within_depth
 from .errors import CatalogError, RangeError, ShapeError
 from .ordinals import (
     EPSILON0,
@@ -66,6 +66,7 @@ class Reflect(TheoryExpr):
     def __post_init__(self):
         if self.level < 1:
             raise ShapeError("reflection level must be >= 1")
+        within_depth(self.level, "reflection level")
         if self.iterations.is_zero():
             raise ShapeError("reflection iterations must be > 0")
 
@@ -130,10 +131,9 @@ def _pattern(scan: Scanner) -> Pattern:
     if _token(scan) != "rfn":
         raise CatalogError("only (rfn ...) patterns are supported")
     scan.skip_ws()
-    start = scan.pos
     level_tok = scan.word(TOKEN)
     if level_tok.isdecimal():
-        level = ("lit", numeral_value(level_tok, start))
+        level = ("lit", within_depth(numeral_value(level_tok), "reflection level"))
     elif level_tok.endswith("+1"):
         level = ("succ", level_tok[:-2])
     else:
@@ -141,7 +141,7 @@ def _pattern(scan: Scanner) -> Pattern:
     iter_var = _token(scan)
     if not level_tok or not iter_var:
         raise CatalogError("an (rfn ...) pattern needs a level, an iteration variable and a body")
-    body = _pattern(scan)
+    body = scan.nested(_pattern, scan)
     if scan.peek() != ")":
         raise CatalogError("unbalanced pattern parentheses")
     scan.pos += 1
@@ -376,7 +376,8 @@ def parse_theory(text: str) -> TheoryExpr:
 
 def _theory(p: _Parser) -> TheoryExpr:
     """theory := base | "(rfn" level ord theory ")" | "(con" ord theory ")",
-    with the iterations read by the ordinal grammar on the same scanner."""
+    with the iterations read by the ordinal grammar on the same scanner and
+    the inner theory one nesting level down."""
     ch = p.peek()
     if not ch:
         p.error("expected a theory expression")
@@ -398,7 +399,7 @@ def _theory(p: _Parser) -> TheoryExpr:
     else:
         p.error(f"expected 'rfn' or 'con', got {head!r}", start)
     iterations = p.sum()
-    over = _theory(p)
+    over = p.nested(_theory, p)
     if p.peek() != ")":
         p.error("expected ')'")
     if iterations.is_zero():

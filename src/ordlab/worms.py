@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ._scan import numeral_value
+from ._scan import numeral_value, within_depth
 from .errors import ParseError, RangeError, WormError
 from .ordinals import (
     EPSILON0,
@@ -24,14 +24,18 @@ from .ordinals import (
     veblen,
 )
 
+MAX_WORM_LENGTH = 10**6
+"""Longest worm worm_of_ordinal builds; the worm of a natural number n has n letters."""
+
 
 @dataclass(frozen=True)
 class Worm:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if any(l < 0 for l in self.letters):
+        if self.letters and min(self.letters) < 0:
             raise WormError("worm letters must be natural numbers")
+        within_depth(max(self.letters, default=0), "worm letter")
 
     def is_top(self) -> bool:
         return not self.letters
@@ -60,19 +64,24 @@ def drop(w: Worm) -> Worm:
     return Worm(tuple(l - 1 for l in w.letters))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2**16)
 def worm_ordinal(w: Worm) -> Ordinal:
     """The assignment o: o(T) = 0; splitting at the leftmost 0 into H.<0>.T
     with 0-free H gives o = o(T) + w^o(drop H); a nonempty 0-free worm is
-    its own head: o = w^o(drop w)."""
-    if w.is_top():
-        return ZERO
-    letters = w.letters
-    if 0 in letters:
-        split = letters.index(0)
-        head, tail = Worm(letters[:split]), Worm(letters[split + 1:])
-        return add(worm_ordinal(tail), veblen(ZERO, worm_ordinal(drop(head))))
-    return veblen(ZERO, worm_ordinal(drop(w)))
+    its own head: o = w^o(drop w).  Unrolled, o sums w^o(drop H) over the
+    0-separated pieces H, rightmost first (an empty rightmost piece adds
+    nothing), so it recurses through letter values, never along the worm."""
+    dropped = [[]]
+    for letter in w.letters:
+        if letter:
+            dropped[-1].append(letter - 1)
+        else:
+            dropped.append([])
+    last = dropped.pop()
+    total = veblen(ZERO, worm_ordinal(Worm(tuple(last)))) if last else ZERO
+    for head in reversed(dropped):
+        total = add(total, veblen(ZERO, worm_ordinal(Worm(tuple(head)))))
+    return total
 
 
 def worm_compare(u: Worm, v: Worm) -> int:
@@ -83,30 +92,32 @@ def worm_compare(u: Worm, v: Worm) -> int:
 def worm_of_ordinal(x: Ordinal) -> Worm:
     """Canonical preimage of o for x < epsilon_0.
 
-    Splitting off one copy of the smallest trailing atom w^b of x, the head
-    lift(worm(b), 1) contributes that atom and the 0-separated tail carries
-    the rest; a purely principal x needs no separator at all.
+    Each copy of an atom w^b of x, smallest first, gives the piece
+    lift(worm(b), 1), which o maps to that atom; a 0 follows every piece
+    but the last, and the last too when it is empty (the atom 1).
     """
     if compare(x, EPSILON0) >= 0:
         raise RangeError(f"{x} is not below e0, which worms cannot reach")
     if x.is_zero():
         return TOP
-    last_atom, count = x.parts[-1]
-    if count > 1:
-        rest = Ordinal(x.parts[:-1] + ((last_atom, count - 1),))
-    else:
-        rest = Ordinal(x.parts[:-1])
-    head = lift(worm_of_ordinal(last_atom.arg), 1)
-    if rest.is_zero() and not head.is_top():
-        return head
-    return Worm(head.letters + (0,) + worm_of_ordinal(rest).letters)
+    letters: list[int] = []
+    for atom, count in reversed(x.parts):
+        piece = lift(worm_of_ordinal(atom.arg), 1).letters + (0,)
+        if len(letters) + count * len(piece) > MAX_WORM_LENGTH:
+            raise RangeError(f"the worm of {x} needs more than {MAX_WORM_LENGTH} letters")
+        letters += piece * count
+    if len(piece) > 1:
+        letters.pop()
+    return Worm(tuple(letters))
 
 
 def theory_of_worm(w: Worm):
     """Nested single reflections over EA+: the letter n becomes one step of
-    Pi_{n+1} reflection, leftmost letter outermost."""
+    Pi_{n+1} reflection, leftmost letter outermost, so each letter nests one
+    level and a worm may have at most MAX_DEPTH letters."""
     from .theories import EA_PLUS, Reflect
 
+    within_depth(len(w.letters), "worm length")
     expr = EA_PLUS
     for letter in reversed(w.letters):
         expr = Reflect(letter + 1, ONE, expr)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import ordlab
+from ordlab._scan import MAX_DEPTH
 from ordlab.cli import run
 
 GOLDEN_CORPUS = [
@@ -220,6 +221,73 @@ def test_fuel_above_ceiling_is_a_range_error(capsys, argv):
     code, out, err = invoke(capsys, *argv)
     assert code == 1 and out == ""
     assert err == "error: range: fuel " + argv[1] + " exceeds the cap 1000000\n"
+
+
+# Every cap in one place: inputs that crashed, hung or succeeded past a cap
+# now end in one range line, promptly.
+@pytest.mark.parametrize("argv", [
+    ("ord", "normalize", "(" * 3000 + "1" + ")" * 3000),
+    ("ord", "normalize", "w^" * (MAX_DEPTH + 1) + "1"),
+    ("ord", "cmp", "phi(" * (MAX_DEPTH + 1) + "0" + ",0)" * (MAX_DEPTH + 1), "0"),
+    ("ord", "mul", "w", "99999999999999999999"),
+    ("ord", "add", "w*4294967296", "w"),
+    ("worm", "o", "500"),
+    ("worm", "o", " ".join(str(i) for i in range(1500))),
+    ("worm", "o", str(MAX_DEPTH + 1)),
+    ("worm", "to-theory", "4294967296"),
+    ("worm", "to-theory", str(MAX_DEPTH)),
+    ("worm", "to-theory", "0 " * (MAX_DEPTH + 1)),
+    ("worm", "of-ordinal", "w^" * MAX_DEPTH + "w"),
+    ("worm", "of-ordinal", "4294967296"),
+    ("theory", "pi-ordinal", "(rfn 200000 1 EA+)", "1"),
+    ("theory", "pi-ordinal", "(rfn 4294967296 1 EA+)", "1"),
+    ("theory", "pi-ordinal", "(rfn 99999999999 1 EA+)", "1"),
+    ("theory", "pi-ordinal", f"(rfn {MAX_DEPTH + 1} 1 EA+)", "1"),
+    ("theory", "reduce", "(con 1 " * (MAX_DEPTH + 1) + "EA+" + ")" * (MAX_DEPTH + 1), "1"),
+    ("theory", "stage", "EA+", "(" * (MAX_DEPTH + 1) + "1" + ")" * (MAX_DEPTH + 1)),
+    ("notation", "audit", "(" * (MAX_DEPTH + 1) + "x" + ")" * (MAX_DEPTH + 1) + " != 1", "10"),
+])
+def test_limits_end_in_one_range_line(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: range: ")
+
+
+TOWER = "w^" * MAX_DEPTH + "1"
+
+
+# The tallest values each command can reach at the caps answer in-process.
+@pytest.mark.parametrize("argv, expected", [
+    (("theory", "pi-ordinal", f"(rfn {MAX_DEPTH} {TOWER} EA+)", "1"), "w^" * (2 * MAX_DEPTH - 2) + "w"),
+    (("theory", "reduce", f"(rfn {MAX_DEPTH} 1 " * MAX_DEPTH + "EA+" + ")" * MAX_DEPTH, "1"),
+     f"(con {'w^' * (MAX_DEPTH - 1)}{MAX_DEPTH} EA+)"),
+    (("theory", "stage", "(con 1 " * MAX_DEPTH + "EA+" + ")" * MAX_DEPTH, TOWER),
+     "(con " + "w^" * (MAX_DEPTH - 1) + "w" + " (con 1" * (MAX_DEPTH - 1) + " EA+" + ")" * MAX_DEPTH),
+    (("ord", "cmp", TOWER, TOWER + "+1"), "LT"),
+    (("ord", "normalize", "(" * MAX_DEPTH + "1" + ")" * MAX_DEPTH), "1"),
+    (("dilator", "eval", TOWER, TOWER), "phi(" + "w^" * (MAX_DEPTH - 1) + "w,0)"),
+    (("worm", "o", str(MAX_DEPTH)), "w^" * (MAX_DEPTH - 1) + "w"),
+    (("worm", "to-theory", f"{MAX_DEPTH - 1} " * MAX_DEPTH), f"(rfn {MAX_DEPTH} 1 " * MAX_DEPTH + "EA+" + ")" * MAX_DEPTH),
+    (("worm", "of-ordinal", "w^" * (MAX_DEPTH - 1) + "w"), str(MAX_DEPTH)),
+    (("notation", "audit", "(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH + " != 1", "10"),
+     "window: 10\ncounterexamples: 1\ndescents: 9\nequivalent: yes"),
+])
+def test_tallest_values_answer(capsys, argv, expected):
+    assert invoke(capsys, *argv) == (0, expected + "\n", "")
+
+
+# Worm ordinals and their inverse no longer recurse along the worm.
+@pytest.mark.parametrize("argv, expected", [
+    (("worm", "o", "0 " * 626), "626"),
+    (("worm", "o", "0 " * 5000), "5000"),
+    (("worm", "of-ordinal", "990"), " ".join(["0"] * 990)),
+    (("worm", "of-ordinal", "5000"), " ".join(["0"] * 5000)),
+    (("worm", "cmp", "1 0 " * 3000, "2"), "LT"),
+])
+def test_long_worms_answer(capsys, argv, expected):
+    assert invoke(capsys, *argv) == (0, expected + "\n", "")
 
 
 def test_usage_error_exit_2(capsys):

@@ -9,9 +9,11 @@ from ordlab.formulas import (
     ConAtom,
     Defined,
     Equals,
+    Exists,
     ForAll,
     Hole,
     Implies,
+    Leq,
     Not,
     Num,
     Or,
@@ -156,8 +158,17 @@ def test_power_rendering():
     assert pretty(ConAtom(ref, power=2)) == "Con²(PA)"
     assert pretty(ConAtom(ref, power=12)) == "Con¹²(PA)"
     assert pretty(ConAtom(ref, power=3), ascii_mode=True) == "Con^3(PA)"
+    assert pretty(ConAtom(ref, power=12), ascii_mode=True) == "Con^12(PA)"
     with pytest.raises(RangeError):
         ConAtom(ref, power=0)
+
+
+def test_ascii_mode_is_ascii():
+    # Every name is transliterated, not only hole names.
+    f = ForAll("α", Implies(Leq(Var("α"), Var("β")), Hole("φ")))
+    assert pretty(f) == "∀α(α ≤ β → φ)"
+    assert pretty(f, ascii_mode=True) == "forall alpha (alpha <= beta -> phi)"
+    assert pretty(Exists("ξ", Defined("F_e0", Var("ξ"))), ascii_mode=True) == "exists xi (F_e0(xi)|)"
 
 
 def test_determinism():

@@ -2,10 +2,10 @@ import pytest
 
 from dataclasses import replace
 
+from ordlab._scan import MAX_DEPTH
 from ordlab.errors import PredicateError, RangeError
 from ordlab.notation import (
     MAX_FUEL,
-    MAX_PREDICATE_DEPTH,
     Presentation,
     audit,
     check_ascending,
@@ -58,9 +58,9 @@ def test_compiled_predicate_agrees_with_ast():
 def test_predicate_at_depth_cap():
     # MAX - 1 factors make a product tree MAX - 1 deep; the comparison adds one.
     at_cap = [
-        "x" + "*x" * (MAX_PREDICATE_DEPTH - 2) + " >= 0",
-        "not " * (MAX_PREDICATE_DEPTH - 2) + "x = 1",
-        "(" * MAX_PREDICATE_DEPTH + "x" + ")" * MAX_PREDICATE_DEPTH + " != 1",
+        "x" + "*x" * (MAX_DEPTH - 2) + " >= 0",
+        "not " * (MAX_DEPTH - 2) + "x = 1",
+        "(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH + " != 1",
     ]
     for text in at_cap:
         p = parse_predicate(text)
@@ -69,9 +69,9 @@ def test_predicate_at_depth_cap():
     assert parse_predicate(at_cap[0]).evaluate(3)
     assert parse_predicate(at_cap[1]).evaluate(1) and not parse_predicate(at_cap[1]).evaluate(2)
     over_cap = [
-        "x" + "*x" * (MAX_PREDICATE_DEPTH - 1) + " >= 0",
-        "not " * (MAX_PREDICATE_DEPTH - 1) + "x = 1",
-        "(" * (MAX_PREDICATE_DEPTH + 1) + "x" + ")" * (MAX_PREDICATE_DEPTH + 1) + " != 1",
+        "x" + "*x" * (MAX_DEPTH - 1) + " >= 0",
+        "not " * (MAX_DEPTH - 1) + "x = 1",
+        "(" * (MAX_DEPTH + 1) + "x" + ")" * (MAX_DEPTH + 1) + " != 1",
     ]
     for text in over_cap:
         with pytest.raises(RangeError):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import oracle_next_phi, random_term
+from ordlab._scan import MAX_DEPTH
 from ordlab.errors import ParseError, RangeError
 from ordlab.ordinals import (
     EPSILON0,
@@ -59,6 +60,32 @@ def test_parse_numeral_overflow():
     with pytest.raises(RangeError):
         parse_ordinal("w*99999999999")
     assert to_int(parse_ordinal("4100654080")) == 4100654080
+
+
+def test_width_rule_holds_for_products_and_sums():
+    # A run of equal atoms holds at most 2**32 copies however it is made.
+    assert mul_nat(OMEGA, 2**31) == parse_ordinal("w*2147483648")
+    assert add(parse_ordinal("w*4294967295"), OMEGA) == parse_ordinal("w*4294967296")
+    for make in (lambda: mul_nat(OMEGA, 10**20), lambda: mul_nat(parse_ordinal("w*65536+1"), 65537),
+                 lambda: add(from_int(2**32), ONE), lambda: add(parse_ordinal("w*4294967296"), OMEGA),
+                 lambda: parse_ordinal("(w*4294967296)*2")):
+        with pytest.raises(RangeError):
+            make()
+
+
+def _nest(opening: str, core: str, closing: str, depth: int) -> str:
+    return opening * depth + core + closing * depth
+
+
+@pytest.mark.parametrize("opening, core, closing", [
+    ("(", "1", ")"), ("w^", "1", ""), ("phi(", "0", ",0)"), ("phi(0,", "1", ")"), ("(w^", "1", ")"),
+])
+def test_nesting_cap(opening, core, closing):
+    # "(w^" nests two levels per step.
+    depth = MAX_DEPTH // 2 if opening == "(w^" else MAX_DEPTH
+    parse_ordinal(_nest(opening, core, closing, depth))
+    with pytest.raises(RangeError):
+        parse_ordinal(_nest(opening, core, closing, depth + 1))
 
 
 # --- comparison ---------------------------------------------------------------

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from ordlab._scan import MAX_DEPTH
 from ordlab.errors import CatalogError, ParseError, RangeError, ShapeError
 from ordlab.ordinals import (
     EPSILON0,
@@ -264,6 +265,22 @@ def test_theory_format_round_trip():
 def test_parse_theory_errors(text):
     with pytest.raises(ParseError):
         parse_theory(text)
+
+
+def test_depth_cap_on_levels_and_nesting():
+    assert Reflect(MAX_DEPTH, ONE, EA_PLUS).level == MAX_DEPTH
+    nested = "(con 1 " * MAX_DEPTH + "EA+" + ")" * MAX_DEPTH
+    assert pi_ordinal(parse_theory(nested), 1) == from_int(MAX_DEPTH)
+    pattern = "(rfn n a " * MAX_DEPTH + "t" + ")" * MAX_DEPTH
+    assert parse_pattern(pattern).level == ("var", "n")
+    assert parse_pattern(f"(rfn {MAX_DEPTH} a t)").level == ("lit", MAX_DEPTH)
+    for make in (lambda: Reflect(MAX_DEPTH + 1, ONE, EA_PLUS),
+                 lambda: parse_theory(f"(rfn {MAX_DEPTH + 1} 1 EA+)"),
+                 lambda: parse_theory("(con 1 " + nested + ")"),
+                 lambda: parse_pattern("(rfn n a " + pattern + ")"),
+                 lambda: parse_pattern(f"(rfn {MAX_DEPTH + 1} a t)")):
+        with pytest.raises(RangeError):
+            make()
 
 
 def test_base_validation():

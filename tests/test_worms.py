@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from ordlab._scan import MAX_DEPTH
 from ordlab.errors import ParseError, RangeError, WormError
 from ordlab.ordinals import (
     EPSILON0,
@@ -13,6 +14,7 @@ from ordlab.ordinals import (
     compare,
     enumerate_terms,
     from_int,
+    iter_omega,
     parse_ordinal,
     veblen,
 )
@@ -185,3 +187,33 @@ def test_worm_letter_cap_and_lift_validation():
         parse_worm(str(2**32 + 1))
     with pytest.raises(WormError):
         lift(Worm((1,)), -1)
+
+
+def test_letters_and_worm_theories_stop_at_the_depth_cap():
+    top = Worm((MAX_DEPTH,))
+    assert worm_ordinal(top) == iter_omega(MAX_DEPTH, 1)
+    for make in (lambda: Worm((MAX_DEPTH + 1,)), lambda: lift(top, 1),
+                 lambda: lift(Worm((0,)), 2**40), lambda: parse_worm(f"0 {MAX_DEPTH + 1}"),
+                 lambda: theory_of_worm(top)):
+        with pytest.raises(RangeError):
+            make()
+    # A letter n nests Pi_{n+1} reflection, and a worm nests one reflection
+    # per letter.
+    tallest = theory_of_worm(Worm((MAX_DEPTH - 1,) * MAX_DEPTH))
+    assert tallest.level == MAX_DEPTH
+    with pytest.raises(RangeError):
+        theory_of_worm(Worm((0,) * (MAX_DEPTH + 1)))
+
+
+def test_long_worms_do_not_recurse_along_their_length():
+    n = 5000
+    assert worm_ordinal(Worm((0,) * n)) == from_int(n)
+    assert worm_ordinal(Worm((1, 0) * n)) == parse_ordinal(f"w*{n}")
+    assert worm_of_ordinal(from_int(n)) == Worm((0,) * n)
+    assert worm_of_ordinal(parse_ordinal(f"w^2*{n}+w+3")) == Worm((0, 0, 0, 1) + (0, 1, 1) * n)
+    with pytest.raises(RangeError):
+        worm_of_ordinal(from_int(2**32))
+
+
+def test_worm_cache_is_bounded():
+    assert worm_ordinal.cache_info().maxsize is not None
