@@ -193,18 +193,16 @@ class Presentation:
 
     def least_counterexample(self, bound: int, recorder: list | None = None) -> Optional[int]:
         """First n <= bound with not P(n), scanning upward; never inspects
-        the predicate above bound."""
+        the predicate above bound.  ``recorder`` receives each n inspected."""
         fn = self.predicate._fn
-        if recorder is None:
-            for n in range(bound + 1):
-                if not fn(n):
-                    return n
-            return None
+        k = None
         for n in range(bound + 1):
-            recorder.append(n)
             if not fn(n):
-                return n
-        return None
+                k = n
+                break
+        if recorder is not None:
+            recorder.extend(range(bound + 1 if k is None else k + 1))
+        return k
 
     def less(self, a: int, b: int, recorder: list | None = None) -> bool:
         if a < 0 or b < 0:

@@ -23,7 +23,9 @@ from .errors import RangeError
 
 LT, EQ, GT = -1, 0, 1
 
-DEFAULT_ENUM_CAP = 10
+MAX_ENUM_SIZE = 8
+"""Largest size enumerate_terms lists: size 8 (10409 terms) takes about a
+second, size 9 about 8 s and size 10 a minute and a half."""
 
 
 @dataclass(frozen=True)
@@ -257,8 +259,8 @@ def enumerate_terms(max_nodes: int) -> list[Ordinal]:
     """All canonical terms of structural size <= max_nodes, sorted ascending."""
     if max_nodes < 0:
         raise RangeError("max_nodes must be a natural number")
-    if max_nodes > DEFAULT_ENUM_CAP:
-        raise RangeError(f"enumeration size {max_nodes} exceeds the cap {DEFAULT_ENUM_CAP}")
+    if max_nodes > MAX_ENUM_SIZE:
+        raise RangeError(f"enumeration size {max_nodes} exceeds the cap {MAX_ENUM_SIZE}")
 
     terms_by_size: dict[int, list[Ordinal]] = {0: [ZERO]}
     atoms: list[tuple[VeblenAtom, int]] = []

@@ -39,6 +39,10 @@ from .worms import Worm, worm_ordinal
 
 
 class TheoryExpr:
+    depth = 0
+    """Reflections nested around the base theory: at most MAX_DEPTH, the
+    nesting the theory grammar reads."""
+
     def __str__(self) -> str:
         return format_theory(self)
 
@@ -69,6 +73,7 @@ class Reflect(TheoryExpr):
         within_depth(self.level, "reflection level")
         if self.iterations.is_zero():
             raise ShapeError("reflection iterations must be > 0")
+        object.__setattr__(self, "depth", within_depth(self.over.depth + 1, "theory nesting"))
 
     def __repr__(self) -> str:
         return f"Reflect({self.level}, {self.iterations!r}, {self.over!r})"

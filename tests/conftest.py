@@ -1,6 +1,9 @@
+import argparse
 import random
 
 import pytest
+
+from ordlab.cli import build_parser
 
 from ordlab.ordinals import add, compare, enumerate_terms, from_int, in_phi_range, veblen
 
@@ -42,3 +45,16 @@ def pool5():
 @pytest.fixture(scope="session")
 def rng():
     return random.Random(0xC0FFEE)
+
+
+def _choices(parser: argparse.ArgumentParser) -> dict:
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return subparsers.choices
+
+
+@pytest.fixture(scope="session")
+def registered_commands() -> list[tuple[str, str]]:
+    """Every (group, command) pair build_parser() registers, in order."""
+    return [(group, command)
+            for group, group_parser in _choices(build_parser()).items()
+            for command in _choices(group_parser)]

@@ -1,4 +1,5 @@
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -246,6 +247,7 @@ def test_fuel_above_ceiling_is_a_range_error(capsys, argv):
     ("theory", "reduce", "(con 1 " * (MAX_DEPTH + 1) + "EA+" + ")" * (MAX_DEPTH + 1), "1"),
     ("theory", "stage", "EA+", "(" * (MAX_DEPTH + 1) + "1" + ")" * (MAX_DEPTH + 1)),
     ("notation", "audit", "(" * (MAX_DEPTH + 1) + "x" + ")" * (MAX_DEPTH + 1) + " != 1", "10"),
+    ("--max-nodes", "9", "ord", "enum"),
 ])
 def test_limits_end_in_one_range_line(capsys, argv):
     start = time.perf_counter()
@@ -278,6 +280,19 @@ def test_tallest_values_answer(capsys, argv, expected):
     assert invoke(capsys, *argv) == (0, expected + "\n", "")
 
 
+def test_stage_nests_at_most_to_the_depth_cap(capsys):
+    def tower(n):
+        return "(rfn 2 1 " * n + "EA+" + ")" * n
+
+    assert invoke(capsys, "theory", "stage", tower(MAX_DEPTH - 1), "1") == (
+        0, "(con 1 " + tower(MAX_DEPTH - 1) + ")\n", "")
+    assert invoke(capsys, "theory", "stage", tower(MAX_DEPTH), "1") == (
+        1, "", f"error: range: theory nesting {MAX_DEPTH + 1} exceeds the depth cap {MAX_DEPTH}\n")
+    # Over a level-1 theory a stage concatenates and nests no deeper.
+    cons = "(con 1 " * MAX_DEPTH + "EA+" + ")" * MAX_DEPTH
+    assert invoke(capsys, "theory", "stage", cons, "1") == (0, "(con 2" + cons[6:] + "\n", "")
+
+
 # Worm ordinals and their inverse no longer recurse along the worm.
 @pytest.mark.parametrize("argv, expected", [
     (("worm", "o", "0 " * 626), "626"),
@@ -300,6 +315,112 @@ def test_usage_error_exit_2(capsys):
 def test_unknown_catalog_vs_sexpr(capsys):
     code, out, err = invoke(capsys, "theory", "pi-ordinal", "ZFC", "1")
     assert code == 1 and out == ""
+
+
+# --- help and usage ------------------------------------------------------------------
+
+TOP_HELP = """\
+usage: ordlab [-h] [--ascii] [--fuel N] [--max-nodes N] GROUP ...
+
+Symbolic ordinal notations, worms, reflection theories, pathological
+presentations, and formula constructions.
+
+positional arguments:
+  GROUP
+    ord          ordinal arithmetic in Veblen normal form
+    worm         GLP worms and their ordinals
+    theory       iterated-reflection theory algebra
+    dilator      omega-model reflection dilator
+    notation     pathological presentations of omega
+    formula      explicit formula constructions
+
+options:
+  -h, --help     show this help message and exit
+  --ascii        render formulas in pure ASCII
+  --fuel N       search/window cap for the notation lab (default 10000)
+  --max-nodes N  structural-size bound for 'ord enum' (default 6)
+"""
+
+THEORY_HELP = """\
+usage: ordlab theory [-h] CMD ...
+
+positional arguments:
+  CMD
+    pi-ordinal
+              Pi_k proof-theoretic ordinal
+    reduce    reduce to a single reflection level
+    stage     consistency-progression stage
+    catalog   look up a named theory (or list all)
+
+options:
+  -h, --help  show this help message and exit
+"""
+
+CONSTAR_HELP = """\
+usage: ordlab formula constar [-h] [alpha] [theory]
+
+positional arguments:
+  alpha
+  theory
+
+options:
+  -h, --help  show this help message and exit
+"""
+
+SV_HELP = """\
+usage: ordlab formula sv [-h] [--top]
+
+options:
+  -h, --help  show this help message and exit
+  --top       instantiate at verum
+"""
+
+
+@pytest.fixture
+def columns_80(monkeypatch):
+    # argparse wraps help text to the terminal width.
+    monkeypatch.setenv("COLUMNS", "80")
+
+
+@pytest.mark.parametrize("argv, text", [
+    (("--help",), TOP_HELP),
+    (("theory", "--help"), THEORY_HELP),
+    (("formula", "constar", "--help"), CONSTAR_HELP),
+    (("formula", "sv", "-h"), SV_HELP),
+])
+def test_help_text(capsys, columns_80, argv, text):
+    assert invoke(capsys, *argv) == (0, text, "")
+
+
+def test_every_command_answers_help(capsys, columns_80, registered_commands):
+    assert len(registered_commands) == 24
+    for group, command in registered_commands:
+        code, out, err = invoke(capsys, group, command, "--help")
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: ordlab {group} {command} ")
+    for group in dict(registered_commands):
+        code, out, err = invoke(capsys, group, "--help")
+        assert (code, err) == (0, "") and out.startswith(f"usage: ordlab {group} [-h] CMD ...")
+
+
+def test_bare_usage(capsys, columns_80):
+    assert invoke(capsys) == (2, "", "usage: ordlab [-h] [--ascii] [--fuel N] [--max-nodes N] GROUP ...\n"
+                                     "ordlab: error: the following arguments are required: GROUP\n")
+    assert invoke(capsys, "worm") == (2, "", "usage: ordlab worm [-h] CMD ...\n"
+                                             "ordlab worm: error: the following arguments are required: CMD\n")
+    assert invoke(capsys, "ord", "cmp", "w") == (2, "", "usage: ordlab ord cmp [-h] x y\n"
+                                                        "ordlab ord cmp: error: the following arguments are "
+                                                        "required: y\n")
+
+
+def test_readme_shows_every_command(registered_commands):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    shown = set()
+    for line in block.splitlines():
+        words = shlex.split(line, comments=True)
+        shown.update(zip(words, words[1:]))
+    assert [pair for pair in registered_commands if pair not in shown] == []
 
 
 # --- real process -------------------------------------------------------------------

@@ -100,14 +100,18 @@ THEORY_ARGS = st.one_of(
 )
 PREDICATES = st.one_of(_text(PREDICATE), _deep("not ", "x = 1", ""), _deep("(", "x", ") != 1"),
                        _long("x", "*").map("{} >= 0".format))
-SLOTS = {"o": ORDINALS, "n": NUMERALS, "w": WORMS, "t": THEORY_ARGS, "p": PREDICATES}
+SLOTS = {"o": ORDINALS, "n": NUMERALS, "w": WORMS, "t": THEORY_ARGS, "p": PREDICATES, "x": _text(THEORY)}
 COMMANDS = [
     ("ord cmp", "oo"), ("ord add", "oo"), ("ord mul", "on"), ("ord normalize", "o"), ("ord phi", "oo"),
     ("ord next-phi", "oo"), ("ord enum", ""), ("worm o", "w"), ("worm cmp", "ww"), ("worm of-ordinal", "o"),
     ("worm to-theory", "w"), ("theory pi-ordinal", "tn"), ("theory reduce", "tn"), ("theory stage", "to"),
-    ("dilator eval", "oo"), ("notation kreisel", "pn"), ("notation audit", "pn"), ("notation descend", "p"),
+    ("theory catalog", ""), ("theory catalog", "t"), ("dilator eval", "oo"), ("notation kreisel", "pn"),
+    ("notation audit", "pn"), ("notation descend", "p"), ("formula slowcon", ""), ("formula slowcon --top", ""),
+    ("formula sv", ""), ("formula sv --top", ""), ("formula svstar", ""), ("formula rosser", ""),
+    ("formula constar", ""), ("formula constar", "x"), ("formula constar", "xx"),
 ]
-FLAGS = st.lists(st.sampled_from([["--ascii"], ["--fuel", "50"], ["--fuel", "2000000"], ["--max-nodes", "11"]]),
+FLAGS = st.lists(st.sampled_from([["--ascii"], ["--fuel", "50"], ["--fuel", "2000000"], ["--max-nodes", "9"],
+                                  ["--max-nodes", "11"]]),
                  max_size=2)
 ARGVS = st.builds(
     lambda flags, argv: [f for flag in flags for f in flag] + argv,
@@ -116,6 +120,10 @@ ARGVS = st.builds(
         lambda command: st.tuples(*(SLOTS[slot] for slot in command[1])).map(
             lambda args: command[0].split() + list(args))),
 )
+
+
+def test_fuzz_covers_every_command(registered_commands):
+    assert {tuple(command.split()[:2]) for command, _ in COMMANDS} == set(registered_commands)
 
 
 @settings(derandomize=True, deadline=None, max_examples=300, database=None)

@@ -122,6 +122,10 @@ def test_locality_instrumented(presentation):
         recorder = []
         p.less(a, b, recorder=recorder)
         assert recorder and max(recorder) <= max(a, b)
+        # The scan runs up to the least counterexample, or to max(a, b).
+        top = max(a, b)
+        k = next((n for n in range(top + 1) if not p.predicate.evaluate(n)), top)
+        assert recorder == list(range(k + 1))
 
 
 # --- check_ascending -----------------------------------------------------------------

@@ -283,6 +283,22 @@ def test_depth_cap_on_levels_and_nesting():
             make()
 
 
+def test_theories_nest_at_most_to_the_depth_cap():
+    tower = parse_theory("(rfn 2 1 " * (MAX_DEPTH - 1) + "EA+" + ")" * (MAX_DEPTH - 1))
+    stage = progression_stage(tower, ONE)
+    assert stage.depth == MAX_DEPTH
+    assert parse_theory(format_theory(stage)) == stage
+    assert progression_stage(stage, OMEGA).depth == MAX_DEPTH  # concatenates
+    with pytest.raises(RangeError, match="theory nesting"):
+        progression_stage(Reflect(2, ONE, tower), ONE)
+    # Hand-built chains meet the same cap as parsed ones.
+    t = EA_PLUS
+    for _ in range(MAX_DEPTH):
+        t = Reflect(2, ONE, t)
+    with pytest.raises(RangeError, match="theory nesting"):
+        Reflect(2, ONE, t)
+
+
 def test_base_validation():
     with pytest.raises(ShapeError):
         Base("ZFC")
