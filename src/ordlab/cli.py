@@ -8,6 +8,7 @@ Success output goes to stdout only; diagnostics to stderr.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import notation
@@ -149,7 +150,10 @@ _COMMANDS = [
 ]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The whole argparse tree, built once per process: parsing leaves it as
+    it was, and help text reads the terminal width when it is printed."""
     parser = argparse.ArgumentParser(
         prog="ordlab",
         description="Symbolic ordinal notations, worms, reflection theories, "

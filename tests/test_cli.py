@@ -9,7 +9,7 @@ import pytest
 
 import ordlab
 from ordlab._scan import MAX_DEPTH
-from ordlab.cli import run
+from ordlab.cli import build_parser, run
 
 GOLDEN_CORPUS = [
     "0", "1", "7", "w", "w+1", "w*2", "w*2+1", "w^2", "w^w", "w^(w+1)",
@@ -411,6 +411,34 @@ def test_bare_usage(capsys, columns_80):
     assert invoke(capsys, "ord", "cmp", "w") == (2, "", "usage: ordlab ord cmp [-h] x y\n"
                                                         "ordlab ord cmp: error: the following arguments are "
                                                         "required: y\n")
+
+
+MIXED_ARGV = [
+    ("ord", "cmp", "w^w+1", "e0"),
+    ("ord", "cmp", "w^^", "0"),
+    ("ord", "cmp", "w"),
+    ("--max-nodes", "x", "ord", "enum"),
+    ("--help",),
+    ("worm", "--help"),
+    ("--ascii", "formula", "sv", "--top"),
+]
+
+
+def test_one_parser_serves_every_call(capsys, columns_80):
+    # The parser is built once per process; no call may leave a trace on it.
+    first = {}
+    for argv in MIXED_ARGV:
+        build_parser.cache_clear()
+        first[argv] = invoke(capsys, *argv)
+        assert invoke(capsys, *argv) == first[argv]
+    for argv in MIXED_ARGV + MIXED_ARGV[::-1]:
+        assert invoke(capsys, *argv) == first[argv]
+    assert build_parser() is build_parser()
+    assert first[MIXED_ARGV[0]] == (0, "LT\n", "")
+    code, out, err = first[MIXED_ARGV[1]]
+    assert (code, out) == (1, "") and err.startswith("error: parse:")
+    assert [first[argv][0] for argv in MIXED_ARGV[2:4]] == [2, 2]
+    assert first[("--help",)] == (0, TOP_HELP, "")
 
 
 def test_readme_shows_every_command(registered_commands):

@@ -1,8 +1,10 @@
 import random
+from functools import cmp_to_key
 
 import pytest
 
 from conftest import oracle_next_phi, random_term
+from ordlab import ordinals
 from ordlab._scan import MAX_DEPTH
 from ordlab.errors import ParseError, RangeError
 from ordlab.ordinals import (
@@ -10,9 +12,12 @@ from ordlab.ordinals import (
     EQ,
     GT,
     LT,
+    MAX_ENUM_SIZE,
     OMEGA,
     ONE,
     ZERO,
+    Ordinal,
+    VeblenAtom,
     add,
     compare,
     enumerate_terms,
@@ -25,6 +30,7 @@ from ordlab.ordinals import (
     next_phi_value,
     parse_ordinal,
     phi_plus_iter,
+    single_atom,
     successor,
     term_size,
     to_int,
@@ -232,8 +238,7 @@ def test_parse_format_identity_on_enumeration():
 
 def test_enumeration_small_counts():
     assert [str(t) for t in enumerate_terms(1)] == ["0", "1"]
-    assert len(enumerate_terms(2)) == 5
-    assert len(enumerate_terms(3)) == 14
+    assert [len(enumerate_terms(n)) for n in range(9)] == [1, 2, 5, 14, 46, 163, 626, 2506, 10409]
 
 
 def test_enumeration_is_strictly_sorted_and_duplicate_free():
@@ -245,7 +250,107 @@ def test_enumeration_is_strictly_sorted_and_duplicate_free():
 
 def test_enumeration_cap():
     with pytest.raises(RangeError):
-        enumerate_terms(11)
+        enumerate_terms(MAX_ENUM_SIZE + 1)
+    assert len(enumerate_terms(MAX_ENUM_SIZE)) == 10409
+
+
+# The reference order and enumeration: plain transcriptions of the definitions,
+# which build the atom as a term to compare against, re-sort every atom at
+# every size and try every atom at every step.
+
+def _ref_compare(x, y):
+    x = from_int(x) if isinstance(x, int) else x
+    y = from_int(y) if isinstance(y, int) else y
+    for (ax, nx), (ay, ny) in zip(x.parts, y.parts):
+        c = _ref_compare_atoms(ax, ay)
+        if c:
+            return c
+        if nx != ny:
+            return LT if nx < ny else GT
+    if len(x.parts) == len(y.parts):
+        return EQ
+    return LT if len(x.parts) < len(y.parts) else GT
+
+
+def _ref_compare_atoms(a, b):
+    ci = _ref_compare(a.index, b.index)
+    if ci == EQ:
+        return _ref_compare(a.arg, b.arg)
+    if ci == LT:
+        return _ref_compare(a.arg, Ordinal(((b, 1),)))
+    return -_ref_compare(b.arg, Ordinal(((a, 1),)))
+
+
+def _ref_sums_of_exact_size(atoms, size):
+    desc = sorted(atoms, key=cmp_to_key(lambda p, q: _ref_compare_atoms(p[0], q[0])), reverse=True)
+    found = []
+
+    def extend(start, budget, prefix):
+        for i in range(start, len(desc)):
+            atom, sz = desc[i]
+            count = 1
+            while count * sz <= budget:
+                parts = prefix + ((atom, count),)
+                if count * sz == budget:
+                    found.append(Ordinal(parts))
+                else:
+                    extend(i + 1, budget - count * sz, parts)
+                count += 1
+
+    extend(0, size, ())
+    return found
+
+
+def _ref_enumerate(max_nodes):
+    terms_by_size = {0: [ZERO]}
+    atoms = []
+    for s in range(1, max_nodes + 1):
+        for sa in range(s):
+            for a in terms_by_size[sa]:
+                for b in terms_by_size[s - 1 - sa]:
+                    inner = single_atom(b)
+                    if inner is None or _ref_compare(inner.index, a) != GT:
+                        atoms.append((VeblenAtom(a, b), s))
+        terms_by_size[s] = _ref_sums_of_exact_size(atoms, s)
+    out = [t for ts in terms_by_size.values() for t in ts]
+    out.sort(key=cmp_to_key(_ref_compare))
+    return out
+
+
+def test_enumeration_matches_reference():
+    for n in range(8):
+        assert enumerate_terms(n) == _ref_enumerate(n)
+
+
+def test_compare_matches_reference(pool5, rng):
+    for x in pool5:
+        for y in pool5:
+            assert compare(x, y) == _ref_compare(x, y)
+    terms = [random_term(rng, 5) for _ in range(200)]
+    for x, y in zip(terms, terms[1:] + terms[:1]):
+        assert compare(x, y) == _ref_compare(x, y)
+    for x in terms:
+        assert compare(x, x) == EQ
+    for n in range(4):
+        for y in pool5[:20] + [n]:
+            assert compare(n, y) == _ref_compare(n, y)
+            assert compare(y, n) == _ref_compare(y, n)
+    fixed = veblen(1, add(EPSILON0, 1))
+    for x, y in [(fixed, EPSILON0), (veblen(0, EPSILON0), EPSILON0), (veblen(2, fixed), fixed),
+                 (veblen(0, fixed), fixed), (add(fixed, EPSILON0), fixed)]:
+        assert compare(x, y) == _ref_compare(x, y)
+        assert compare(y, x) == _ref_compare(y, x)
+
+
+def test_compare_builds_no_term(pool4, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("compare built a term")
+
+    monkeypatch.setattr(ordinals, "atom_term", refuse)
+    monkeypatch.setattr(Ordinal, "__init__", refuse)
+    for x in pool4:
+        for y in pool4:
+            compare(x, y)
 
 
 def test_term_size_counts_indices_and_multiplicity():
