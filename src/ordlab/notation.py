@@ -7,6 +7,8 @@ everywhere the order is plain omega; when P first fails at k the tail
 k, k+1, k+2, ... is an infinite strictly descending chain.  Deciding a single
 comparison only ever inspects P at arguments up to max(a, b), so the
 well-foundedness of the order is exactly as hidden as the truth of P.
+A presentation remembers how far it has scanned P, so a later query never
+scans that prefix again.
 
 Predicates are a tiny total expression language over one variable x with
 +, *, numerals, comparisons and boolean connectives, e.g. "x != 7" or
@@ -15,7 +17,7 @@ Predicates are a tiny total expression language over one variable x with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from ._scan import MAX_DEPTH, Scanner
@@ -23,7 +25,8 @@ from .errors import PredicateError, RangeError
 
 MAX_FUEL = 10**6
 """Ceiling on the notation lab's fuel: the most predicate evaluations one
-window check, audit or descent search may ask for."""
+window check, audit or descent search may ask for, and the largest bound
+``least_counterexample``, and so ``less``, accepts."""
 
 _COMPARISONS = {
     "<=": lambda a, b: a <= b,
@@ -190,16 +193,31 @@ class Presentation:
 
     predicate: PredicateExpr
     description: str
+    # (s, k): P holds on 0..s-1, and k is the least counterexample (then
+    # s == k) or None.  Each stored pair is a true fact about a pure
+    # predicate, swapped in whole, so a presentation may be shared.
+    _scanned: tuple = field(default=(0, None), init=False, compare=False, repr=False)
 
     def least_counterexample(self, bound: int, recorder: list | None = None) -> Optional[int]:
         """First n <= bound with not P(n), scanning upward; never inspects
-        the predicate above bound.  ``recorder`` receives each n inspected."""
-        fn = self.predicate._fn
-        k = None
-        for n in range(bound + 1):
-            if not fn(n):
-                k = n
-                break
+        the predicate above bound, nor at an argument an earlier call on
+        this presentation already inspected.  ``recorder`` receives
+        0..min(k, bound), the arguments the answer depends on, whether or
+        not this call evaluated them."""
+        if bound > MAX_FUEL:
+            raise RangeError(f"bound {bound} exceeds the fuel cap {MAX_FUEL}")
+        s, k = self._scanned
+        if k is None and s <= bound:
+            fn = self.predicate._fn
+            for n in range(s, bound + 1):
+                if not fn(n):
+                    k = s = n
+                    break
+            else:
+                s = bound + 1
+            object.__setattr__(self, "_scanned", (s, k))
+        if k is not None and k > bound:
+            k = None
         if recorder is not None:
             recorder.extend(range(bound + 1 if k is None else k + 1))
         return k

@@ -1,6 +1,11 @@
-import pytest
-
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import example, given, settings
 
 from ordlab._scan import MAX_DEPTH
 from ordlab.errors import PredicateError, RangeError
@@ -178,6 +183,103 @@ def test_fuel_cap():
             window_op(p, 5, fuel=MAX_FUEL + 1)
     with pytest.raises(RangeError):
         find_descending(p, MAX_FUEL + 1)
+    # A point query is capped at the same fuel, before any evaluation.
+    p, calls = _counting("true")
+    for query in (lambda: p.less(0, MAX_FUEL + 1), lambda: p.less(10**12, 0),
+                  lambda: p.least_counterexample(MAX_FUEL + 1)):
+        with pytest.raises(RangeError):
+            query()
+    assert calls == []
+    assert p.less(0, MAX_FUEL) and len(calls) == MAX_FUEL + 1
+
+
+# --- the scanned prefix -------------------------------------------------------------
+
+def _order_key(k, n):
+    """Rank of n in the three-zone order around k (None: plain omega)."""
+    return (0, n) if k is None or n < k else (1, -n)
+
+
+@pytest.mark.parametrize("text", ["x != 700", "true"])
+def test_less_batch_evaluates_each_argument_once(text):
+    rng = random.Random(3)
+    pairs = [(rng.randint(0, 2000), rng.randint(0, 2000)) for _ in range(500)]
+    p, calls = _counting(text)
+    k = 700 if text != "true" else None
+    for a, b in pairs:
+        assert p.less(a, b) == (_order_key(k, a) < _order_key(k, b))
+    assert len(calls) == len(set(calls))
+    assert len(calls) <= max(max(pair) for pair in pairs) + 1
+
+
+_QUERY = st.one_of(
+    st.tuples(st.just("less"), st.integers(0, 60), st.integers(0, 60)),
+    st.tuples(st.just("least"), st.integers(-1, 60)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.sampled_from(["true", "x != 0", "x != 20", "x*x != 900 and x != 45"]),
+       queries=st.lists(_QUERY, max_size=12))
+@example(text="x != 20", queries=[("less", 50, 3), ("less", 4, 5), ("least", 10), ("least", 20)])
+@example(text="x != 20", queries=[("least", 60), ("less", 30, 12), ("least", 19), ("less", 19, 0)])
+def test_shared_presentation_answers_like_fresh_ones(text, queries):
+    predicate = parse_predicate(text)
+    shared = kreisel_presentation(predicate)
+    for query in queries:
+        answers = []
+        for p in (shared, kreisel_presentation(predicate)):
+            recorder = []
+            if query[0] == "less":
+                answer = p.less(query[1], query[2], recorder=recorder)
+            else:
+                answer = p.least_counterexample(query[1], recorder=recorder)
+            answers.append((answer, recorder))
+        assert answers[0] == answers[1], query
+
+
+def test_queried_presentation_equals_a_fresh_one():
+    predicate = parse_predicate("x != 7")
+    queried, fresh = kreisel_presentation(predicate), kreisel_presentation(predicate)
+    queried.less(30, 12)
+    queried.least_counterexample(100)
+    assert queried == fresh
+    assert hash(queried) == hash(fresh)
+    assert repr(queried) == repr(fresh)
+
+
+@pytest.mark.parametrize("text", BATTERY)
+def test_recorder_after_a_larger_query(text):
+    p = kreisel_presentation(text)
+    p.less(199, 0)
+    for a, b in ((4, 5), (30, 12), (2, 0), (150, 170)):
+        recorder = []
+        p.less(a, b, recorder=recorder)
+        top = max(a, b)
+        k = next((n for n in range(top + 1) if not p.predicate.evaluate(n)), top)
+        assert recorder == list(range(k + 1))
+
+
+def test_presentation_shared_across_threads():
+    p = kreisel_presentation("x != 700")
+
+    def batch(seed):
+        rng = random.Random(seed)
+        pairs = [(rng.randint(0, 1500), rng.randint(0, 1500)) for _ in range(300)]
+        return [(a, b, p.less(a, b)) for a, b in pairs]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(batch, seed) for seed in range(8)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 8
+    for rows in results:
+        for a, b, got in rows:
+            assert got == (_order_key(700, a) < _order_key(700, b))
 
 
 # --- find_descending -------------------------------------------------------------------
