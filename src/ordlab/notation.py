@@ -192,18 +192,17 @@ class Presentation:
     predicate; see the module docstring for the three-zone definition."""
 
     predicate: PredicateExpr
-    description: str
     # (s, k): P holds on 0..s-1, and k is the least counterexample (then
     # s == k) or None.  Each stored pair is a true fact about a pure
     # predicate, swapped in whole, so a presentation may be shared.
     _scanned: tuple = field(default=(0, None), init=False, compare=False, repr=False)
 
-    def least_counterexample(self, bound: int, recorder: list | None = None) -> Optional[int]:
-        """First n <= bound with not P(n), scanning upward; never inspects
-        the predicate above bound, nor at an argument an earlier call on
-        this presentation already inspected.  ``recorder`` receives
-        0..min(k, bound), the arguments the answer depends on, whether or
-        not this call evaluated them."""
+    def least_counterexample(self, bound: int) -> Optional[int]:
+        """First n <= bound with not P(n), scanning upward, or None; never
+        inspects the predicate above bound, nor at an argument an earlier
+        call on this presentation already inspected.  The answer names the
+        arguments it depends on: P at 0..k for an answer k, at 0..bound
+        for None."""
         if bound > MAX_FUEL:
             raise RangeError(f"bound {bound} exceeds the fuel cap {MAX_FUEL}")
         s, k = self._scanned
@@ -218,14 +217,12 @@ class Presentation:
             object.__setattr__(self, "_scanned", (s, k))
         if k is not None and k > bound:
             k = None
-        if recorder is not None:
-            recorder.extend(range(bound + 1 if k is None else k + 1))
         return k
 
-    def less(self, a: int, b: int, recorder: list | None = None) -> bool:
+    def less(self, a: int, b: int) -> bool:
         if a < 0 or b < 0:
             raise RangeError("the order is on natural numbers")
-        k = self.least_counterexample(max(a, b), recorder)
+        k = self.least_counterexample(max(a, b))
         if k is None or (a < k and b < k):
             return a < b
         if (a < k) != (b < k):
@@ -236,7 +233,7 @@ class Presentation:
 def kreisel_presentation(predicate: PredicateExpr | str) -> Presentation:
     if isinstance(predicate, str):
         predicate = parse_predicate(predicate)
-    return Presentation(predicate, f"order of omega gated on [{predicate.source}]")
+    return Presentation(predicate)
 
 
 def _check_fuel(fuel: int, window: int | None = None):

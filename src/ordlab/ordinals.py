@@ -261,7 +261,6 @@ def phi_plus_iter(a: Ordinal | int, beta: Ordinal | int, gamma: Ordinal | int) -
     """The gamma-th value of phi_a strictly above beta, counting from 0:
     phi_plus_iter(a, beta, 0) = next_phi_value(a, beta), and in general
     phi_a(mu + gamma) where phi_a(mu) is that next value."""
-    a, gamma = _coerce(a), _coerce(gamma)
     first = next_phi_value(a, beta)
     mu = phi_argument(a, first)
     return veblen(a, add(mu, gamma))

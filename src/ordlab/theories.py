@@ -6,10 +6,12 @@ measures iterated omega-model reflection.
 The two core reductions are
   level drop:      (rfn n+1 a T)  ~>  (rfn n w^a T)   at level n,
   concatenation:   (rfn n a (rfn n b T))  ~>  (rfn n b+a T),
-and they live in a declarative rules file so the rule set is inspectable and
-extensible without code changes.  Mixed-level nestings the rules cannot reach
-are routed through the worm assignment when they are worm-shaped (all
-iteration counts 1); anything else is rejected rather than approximated.
+and they live in the declarative rules file data/rules.txt.  That file is
+the one rule set: every reduction step must match one of its rules, so the
+algebra is inspectable and extensible without code changes.  Mixed-level
+nestings the rules cannot reach are routed through the worm assignment when
+they are worm-shaped (all iteration counts 1); anything else is rejected
+rather than approximated.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .ordinals import (
     Ordinal,
     add,
     format_ordinal,
-    from_int,
     is_natural,
     mul_nat,
     next_phi_value,
@@ -254,10 +255,9 @@ def default_catalog() -> dict[str, TheoryExpr]:
     return parse_catalog(_data_text("catalog.txt"))
 
 
-def catalog_lookup(name: str, catalog: dict[str, TheoryExpr] | None = None) -> TheoryExpr:
-    catalog = default_catalog() if catalog is None else catalog
+def catalog_lookup(name: str) -> TheoryExpr:
     try:
-        return catalog[name]
+        return default_catalog()[name]
     except KeyError:
         raise CatalogError(f"unknown theory name {name!r}") from None
 
@@ -265,89 +265,74 @@ def catalog_lookup(name: str, catalog: dict[str, TheoryExpr] | None = None) -> T
 # ---------------------------------------------------------------------------
 # Reduction and ordinals
 
-class _LevelGap(Exception):
-    """Inner reflection sits below the level the outer one needs."""
-
-
-def reduce_to_level(t: TheoryExpr, k: int, rules: RuleSet | None = None) -> TheoryExpr:
+def reduce_to_level(t: TheoryExpr, k: int) -> TheoryExpr:
     """Canonical form Reflect(k, gamma, EA+) of t (or EA+ itself when gamma
     would be 0), via level drops and concatenation; PA-based input reduces
-    through the level-1 catalog rule."""
-    rules = default_rules() if rules is None else rules
+    through the level-1 catalog rule.  Every step must match a rule of
+    data/rules.txt."""
     if k < 1:
         raise ShapeError("reflection level must be >= 1")
-    if _innermost_base(t) == PA:
-        return _reduce_pa(t, k, rules)
-    try:
-        gamma = _reduce_ea(t, k, rules)
-    except _LevelGap:
-        letters = _worm_letters(t)
-        if letters is None or k != 1:
-            raise ShapeError(
-                f"{format_theory(t)} is outside the supported shapes at level {k}"
-            ) from None
-        gamma = worm_ordinal(Worm(letters))
+    chain = []  # (level, iterations), from the outermost reflection inward
+    base = t
+    while isinstance(base, Reflect):
+        chain.append((base.level, base.iterations))
+        base = base.over
+    if base == PA:
+        return _reduce_pa(chain, k)
+    gamma = _reduce_ea(chain, k)
+    if gamma is None:
+        # A level gap the rules cannot bridge: a worm-shaped theory is
+        # measured at level 1 by its worm (Beklemishev 2004).
+        if k != 1 or any(iterations != ONE for _, iterations in chain):
+            raise ShapeError(f"{format_theory(t)} is outside the supported shapes at level {k}")
+        gamma = worm_ordinal(Worm(tuple(level - 1 for level, _ in chain)))
     if gamma.is_zero():
         return EA_PLUS
     return Reflect(k, gamma, EA_PLUS)
 
 
-def _innermost_base(t: TheoryExpr) -> Base:
-    while isinstance(t, Reflect):
-        t = t.over
-    return t
-
-
-def _reduce_ea(t: TheoryExpr, k: int, rules: RuleSet) -> Ordinal:
-    if isinstance(t, Base):
-        return ZERO
-    if t.level < k:
-        raise _LevelGap()
-    inner = _reduce_ea(t.over, t.level, rules)
-    if inner.is_zero():
-        gamma = t.iterations
-    else:
-        rules.authorize("concatenation", Reflect(t.level, t.iterations, Reflect(t.level, inner, EA_PLUS)))
-        gamma = add(inner, t.iterations)
-    for level in range(t.level, k, -1):
-        rules.authorize("level-drop-omega-power", Reflect(level, gamma, EA_PLUS))
-        gamma = veblen(ZERO, gamma)
+def _reduce_ea(chain: list[tuple[int, Ordinal]], k: int) -> Ordinal | None:
+    """gamma with the chain over EA+ equivalent to Reflect(k, gamma, EA+), or
+    None when a reflection sits below the level the one around it needs."""
+    steps = list(zip(chain, [k] + [level for level, _ in chain]))
+    if any(level < need for (level, _), need in steps):
+        return None
+    rules = default_rules()
+    gamma = ZERO
+    for (level, iterations), need in reversed(steps):
+        if gamma.is_zero():
+            gamma = iterations
+        else:
+            rules.authorize("concatenation", Reflect(level, iterations, Reflect(level, gamma, EA_PLUS)))
+            gamma = add(gamma, iterations)
+        for drop in range(level, need, -1):
+            rules.authorize("level-drop-omega-power", Reflect(drop, gamma, EA_PLUS))
+            gamma = veblen(ZERO, gamma)
     return gamma
 
 
-def _worm_letters(t: TheoryExpr) -> tuple[int, ...] | None:
-    letters = []
-    while isinstance(t, Reflect):
-        if t.iterations != ONE:
-            return None
-        letters.append(t.level - 1)
-        t = t.over
-    return tuple(letters) if t == EA_PLUS else None
-
-
-def _reduce_pa(t: TheoryExpr, k: int, rules: RuleSet) -> TheoryExpr:
+def _reduce_pa(chain: list[tuple[int, Ordinal]], k: int) -> TheoryExpr:
     if k != 1:
         raise ShapeError("PA-based expressions are analyzed at level 1 only")
-    iterations = ZERO
-    node = t
-    while isinstance(node, Reflect):
-        if node.level != 1:
+    total = ZERO
+    for level, iterations in chain:
+        if level != 1:
             raise ShapeError("only level-1 reflection towers over PA are in the catalog")
-        iterations = add(node.iterations, iterations)
-        node = node.over
-    if not is_natural(iterations):
+        total = add(iterations, total)
+    if not is_natural(total):
         raise ShapeError("transfinite iteration over PA is outside the catalog")
-    if isinstance(t, Reflect):
-        rules.authorize("pa-con-product", Reflect(1, iterations, PA))
+    rules = default_rules()
+    if chain:
+        rules.authorize("pa-con-product", Reflect(1, total, PA))
     elif not rules.has("pa-con-product"):
         raise ShapeError("no pa-con-product rule is loaded")
-    return Reflect(1, mul_nat(EPSILON0, 1 + to_int(iterations)), EA_PLUS)
+    return Reflect(1, mul_nat(EPSILON0, 1 + to_int(total)), EA_PLUS)
 
 
-def pi_ordinal(t: TheoryExpr, k: int, rules: RuleSet | None = None) -> Ordinal:
+def pi_ordinal(t: TheoryExpr, k: int) -> Ordinal:
     """Pi_k proof-theoretic ordinal: the number of level-k reflection
     iterations over EA+ that t reduces to."""
-    reduced = reduce_to_level(t, k, rules)
+    reduced = reduce_to_level(t, k)
     return ZERO if isinstance(reduced, Base) else reduced.iterations
 
 
@@ -364,8 +349,6 @@ def progression_stage(t: TheoryExpr, alpha: Ordinal) -> TheoryExpr:
 def omega_model_dilator(alpha: Ordinal | int, beta: Ordinal | int) -> Ordinal:
     """Value at beta of the dilator measuring alpha-fold omega-model
     reflection: the least value of phi_{1+alpha} strictly above beta."""
-    if isinstance(alpha, int):
-        alpha = from_int(alpha)
     return next_phi_value(add(ONE, alpha), beta)
 
 

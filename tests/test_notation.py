@@ -122,15 +122,16 @@ def test_strict_linear_order_exhaustive(presentation):
 
 
 def test_locality_instrumented(presentation):
-    p = presentation
     for a, b in ((0, 1), (13, 2), (150, 170), (199, 0)):
-        recorder = []
-        p.less(a, b, recorder=recorder)
-        assert recorder and max(recorder) <= max(a, b)
-        # The scan runs up to the least counterexample, or to max(a, b).
+        p, calls = _counting(presentation.predicate.source)
+        p.less(a, b)
+        assert calls and max(calls) <= max(a, b)
+        # The scan runs up to the least counterexample, or to max(a, b):
+        # exactly the arguments the answer depends on.
         top = max(a, b)
-        k = next((n for n in range(top + 1) if not p.predicate.evaluate(n)), top)
-        assert recorder == list(range(k + 1))
+        k = p.least_counterexample(top)
+        assert calls == list(range(top + 1 if k is None else k + 1))
+        assert k == next((n for n in range(top + 1) if not presentation.predicate.evaluate(n)), None)
 
 
 # --- check_ascending -----------------------------------------------------------------
@@ -159,7 +160,7 @@ def _counting(text: str):
         calls.append(n)
         return fn(n)
 
-    return Presentation(replace(predicate, _fn=counted), text), calls
+    return Presentation(replace(predicate, _fn=counted)), calls
 
 
 @pytest.mark.parametrize("text", ["x != 700", "true"])
@@ -229,12 +230,13 @@ def test_shared_presentation_answers_like_fresh_ones(text, queries):
     for query in queries:
         answers = []
         for p in (shared, kreisel_presentation(predicate)):
-            recorder = []
             if query[0] == "less":
-                answer = p.less(query[1], query[2], recorder=recorder)
+                top = max(query[1], query[2])
+                # The least counterexample up to max(a, b) is what the
+                # comparison depends on.
+                answers.append((p.less(query[1], query[2]), p.least_counterexample(top)))
             else:
-                answer = p.least_counterexample(query[1], recorder=recorder)
-            answers.append((answer, recorder))
+                answers.append(p.least_counterexample(query[1]))
         assert answers[0] == answers[1], query
 
 
@@ -253,11 +255,10 @@ def test_recorder_after_a_larger_query(text):
     p = kreisel_presentation(text)
     p.less(199, 0)
     for a, b in ((4, 5), (30, 12), (2, 0), (150, 170)):
-        recorder = []
-        p.less(a, b, recorder=recorder)
         top = max(a, b)
-        k = next((n for n in range(top + 1) if not p.predicate.evaluate(n)), top)
-        assert recorder == list(range(k + 1))
+        k = next((n for n in range(top + 1) if not p.predicate.evaluate(n)), None)
+        assert p.less(a, b) == (_order_key(k, a) < _order_key(k, b))
+        assert p.least_counterexample(top) == k
 
 
 def test_presentation_shared_across_threads():

@@ -1,8 +1,10 @@
 import itertools
+import random
 
 import pytest
 
-from ordlab._scan import MAX_DEPTH
+from ordlab import theories
+from ordlab._scan import MAX_DEPTH, MAX_WIDTH
 from ordlab.errors import CatalogError, ParseError, RangeError, ShapeError
 from ordlab.ordinals import (
     EPSILON0,
@@ -14,8 +16,10 @@ from ordlab.ordinals import (
     enumerate_terms,
     from_int,
     in_phi_range,
+    is_natural,
     mul_nat,
     parse_ordinal,
+    to_int,
     veblen,
 )
 from ordlab.theories import (
@@ -23,6 +27,7 @@ from ordlab.theories import (
     PA,
     Base,
     Reflect,
+    RuleSet,
     catalog_lookup,
     default_catalog,
     default_rules,
@@ -94,6 +99,140 @@ def test_unsupported_shapes_error():
 def test_worm_shaped_mixed_levels_reduce_at_level_one():
     t = parse_theory("(rfn 2 1 (con 1 EA+))")
     assert pi_ordinal(t, 1) == worm_ordinal(Worm((1, 0)))
+
+
+# --- reference reduction ------------------------------------------------------------
+# The recursive form of the reduction: one call per nesting level, a level
+# gap raised up to the top, and the worm route read off the theory after it.
+
+class _RefLevelGap(Exception):
+    pass
+
+
+def _ref_reduce_to_level(t, k, rules):
+    if k < 1:
+        raise ShapeError("reflection level must be >= 1")
+    base = t
+    while isinstance(base, Reflect):
+        base = base.over
+    if base == PA:
+        return _ref_reduce_pa(t, k, rules)
+    try:
+        gamma = _ref_reduce_ea(t, k, rules)
+    except _RefLevelGap:
+        letters = _ref_worm_letters(t)
+        if letters is None or k != 1:
+            raise ShapeError(
+                f"{format_theory(t)} is outside the supported shapes at level {k}"
+            ) from None
+        gamma = worm_ordinal(Worm(letters))
+    if gamma.is_zero():
+        return EA_PLUS
+    return Reflect(k, gamma, EA_PLUS)
+
+
+def _ref_reduce_ea(t, k, rules):
+    if isinstance(t, Base):
+        return ZERO
+    if t.level < k:
+        raise _RefLevelGap()
+    inner = _ref_reduce_ea(t.over, t.level, rules)
+    if inner.is_zero():
+        gamma = t.iterations
+    else:
+        rules.authorize("concatenation", Reflect(t.level, t.iterations, Reflect(t.level, inner, EA_PLUS)))
+        gamma = add(inner, t.iterations)
+    for level in range(t.level, k, -1):
+        rules.authorize("level-drop-omega-power", Reflect(level, gamma, EA_PLUS))
+        gamma = veblen(ZERO, gamma)
+    return gamma
+
+
+def _ref_worm_letters(t):
+    letters = []
+    while isinstance(t, Reflect):
+        if t.iterations != ONE:
+            return None
+        letters.append(t.level - 1)
+        t = t.over
+    return tuple(letters) if t == EA_PLUS else None
+
+
+def _ref_reduce_pa(t, k, rules):
+    if k != 1:
+        raise ShapeError("PA-based expressions are analyzed at level 1 only")
+    iterations = ZERO
+    node = t
+    while isinstance(node, Reflect):
+        if node.level != 1:
+            raise ShapeError("only level-1 reflection towers over PA are in the catalog")
+        iterations = add(node.iterations, iterations)
+        node = node.over
+    if not is_natural(iterations):
+        raise ShapeError("transfinite iteration over PA is outside the catalog")
+    if isinstance(t, Reflect):
+        rules.authorize("pa-con-product", Reflect(1, iterations, PA))
+    elif not rules.has("pa-con-product"):
+        raise ShapeError("no pa-con-product rule is loaded")
+    return Reflect(1, mul_nat(EPSILON0, 1 + to_int(iterations)), EA_PLUS)
+
+
+class _LoggedRules(RuleSet):
+    """The default rules, logging each authorize call as (transform, shape)."""
+
+    def __init__(self, log):
+        super().__init__(list(default_rules().rules))
+        self.log = log
+
+    def authorize(self, transform, shape):
+        self.log.append((transform, format_theory(shape)))
+        return super().authorize(transform, shape)
+
+
+_REF_ITERATIONS = [ONE] * 8 + [
+    from_int(2), from_int(3), OMEGA, parse_ordinal("w+1"), parse_ordinal("w^2"),
+    EPSILON0, from_int(MAX_WIDTH), mul_nat(OMEGA, MAX_WIDTH),
+]
+
+
+def _random_chain(rng):
+    levels = [rng.choice((1, 2, 3, 4, 5)) for _ in range(rng.randint(0, 5))]
+    if rng.random() < 0.5:
+        levels.sort()  # non-decreasing inward: the rules route
+    if levels and rng.random() < 0.01:
+        levels[-1] = MAX_DEPTH
+    t = PA if rng.random() < 0.25 else EA_PLUS
+    for level in reversed(levels):
+        iterations = rng.choice(_REF_ITERATIONS)
+        t = Reflect(1 if t == PA and rng.random() < 0.8 else level, iterations, t)
+    return t, rng.choice((0, 1, 1, 1, 2, 3, 4, 5))
+
+
+def _outcome(reduce, t, k):
+    try:
+        return ("ok", reduce(t, k))
+    except (ShapeError, RangeError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def test_reduction_matches_the_recursive_reference(monkeypatch):
+    rng = random.Random(20041)
+    ref_log, log, worms = [], [], []
+    ref_rules, rules = _LoggedRules(ref_log), _LoggedRules(log)
+    monkeypatch.setattr(theories, "default_rules", lambda: rules)
+    monkeypatch.setattr(theories, "worm_ordinal", lambda w: worms.append(w) or worm_ordinal(w))
+    seen = set()
+    for _ in range(6000):
+        t, k = _random_chain(rng)
+        ref_log.clear()
+        log.clear()
+        worms.clear()
+        expected = _outcome(lambda t, k: _ref_reduce_to_level(t, k, ref_rules), t, k)
+        assert _outcome(reduce_to_level, t, k) == expected, (format_theory(t), k)
+        assert log == ref_log, (format_theory(t), k)
+        seen.add("worm" if worms else "rules" if log else expected[0])
+    # Both routes, answers no rule was needed for, and both error kinds.
+    assert seen == {"worm", "rules", "ok", "ShapeError", "RangeError"}
 
 
 # --- pi ordinals ---------------------------------------------------------------------
@@ -213,12 +352,13 @@ def test_rule_file_rejects_bad_lines():
             parse_pattern(short)
 
 
-def test_reduction_requires_rules():
+def test_reduction_requires_rules(monkeypatch):
     empty = parse_rules("")
+    monkeypatch.setattr(theories, "default_rules", lambda: empty)
     with pytest.raises(ShapeError):
-        reduce_to_level(Reflect(2, ONE, EA_PLUS), 1, rules=empty)
+        reduce_to_level(Reflect(2, ONE, EA_PLUS), 1)
     with pytest.raises(ShapeError):
-        reduce_to_level(PA, 1, rules=empty)
+        reduce_to_level(PA, 1)
 
 
 def test_pattern_matching():
