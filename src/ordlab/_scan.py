@@ -1,6 +1,6 @@
-"""The scanner under every text grammar (ordinals, theories, rule patterns,
-predicates), the one numeral rule, which worm letters follow too, and the
-limits every value is made under."""
+"""The scanner under every text grammar (ordinals, theories, predicates),
+the one numeral rule, which worm letters follow too, and the limits every
+value is made under."""
 
 from __future__ import annotations
 

@@ -160,8 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
         "pathological presentations, and formula constructions.",
     )
     parser.add_argument("--ascii", action="store_true", help="render formulas in pure ASCII")
-    parser.add_argument("--fuel", type=int, default=10000, metavar="N",
-                        help="search/window cap for the notation lab (default 10000)")
+    parser.add_argument("--fuel", type=int, default=notation.DEFAULT_FUEL, metavar="N",
+                        help=f"search/window cap for the notation lab (default {notation.DEFAULT_FUEL})")
     parser.add_argument("--max-nodes", type=int, default=6, dest="max_nodes", metavar="N",
                         help="structural-size bound for 'ord enum' (default 6)")
     groups = parser.add_subparsers(dest="group", required=True, metavar="GROUP")

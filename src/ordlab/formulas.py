@@ -258,10 +258,9 @@ def con_star_equation(alpha_name: str, theory_name: str, ascii_mode: bool = Fals
     artifact with no attached semantics."""
     if not alpha_name or not theory_name:
         raise RangeError("con_star_equation needs nonempty names")
-    bound = next(
-        b for b in _BOUND_CHOICES
-        if b != alpha_name and b.translate(_ASCII) != alpha_name
-    )
+    # The bound variable differs from both names in either rendering.
+    taken = {name.translate(_ASCII) for name in (alpha_name, theory_name)}
+    bound = next(b for b in _BOUND_CHOICES if b.translate(_ASCII) not in taken)
     a, t = alpha_name, theory_name
     text = (
         f"PA ⊢ Con★({a},{t}) ↔ ∀{bound} ≺ {a} Con({t}+⌜Con★({bound},{t})⌝)"

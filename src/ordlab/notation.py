@@ -28,6 +28,9 @@ MAX_FUEL = 10**6
 window check, audit or descent search may ask for, and the largest bound
 ``least_counterexample``, and so ``less``, accepts."""
 
+DEFAULT_FUEL = 10000
+"""The notation lab's fuel when none is given."""
+
 _COMPARISONS = {
     "<=": lambda a, b: a <= b,
     "<": lambda a, b: a < b,
@@ -42,11 +45,13 @@ _COMPARISONS = {
 @dataclass(frozen=True)
 class PredicateExpr:
     """Parsed predicate; ``source`` is the original text and ``_fn`` an
-    equivalent compiled form of the AST stored in ``tree``."""
+    equivalent compiled form of the AST stored in ``tree``.  Equality, hash
+    and repr follow ``source`` and ``tree``, so two parses of one text are
+    one value."""
 
     source: str
     tree: tuple
-    _fn: Callable[[int], bool]
+    _fn: Callable[[int], bool] = field(compare=False, repr=False)
 
     def evaluate(self, n: int) -> bool:
         return bool(self._fn(n))
@@ -243,7 +248,7 @@ def _check_fuel(fuel: int, window: int | None = None):
         raise RangeError(f"window {window} exceeds the fuel cap {fuel}")
 
 
-def check_ascending(p: Presentation, n: int, fuel: int = 10000) -> bool:
+def check_ascending(p: Presentation, n: int, fuel: int = DEFAULT_FUEL) -> bool:
     """True iff 0 < 1 < ... < n holds in the presentation order.
 
     By the three-zone rule the chain breaks exactly at the adjacent pairs
@@ -286,7 +291,7 @@ class AuditReport:
         return "\n".join(self.lines())
 
 
-def audit(p: Presentation, n: int, fuel: int = 10000) -> AuditReport:
+def audit(p: Presentation, n: int, fuel: int = DEFAULT_FUEL) -> AuditReport:
     """Count the predicate's counterexamples and the order's adjacent
     descents inside the window, and record whether the two observations
     agree (prefix looks well-ordered iff no counterexample was seen) --

@@ -6,12 +6,13 @@ measures iterated omega-model reflection.
 The two core reductions are
   level drop:      (rfn n+1 a T)  ~>  (rfn n w^a T)   at level n,
   concatenation:   (rfn n a (rfn n b T))  ~>  (rfn n b+a T),
-and they live in the declarative rules file data/rules.txt.  That file is
-the one rule set: every reduction step must match one of its rules, so the
-algebra is inspectable and extensible without code changes.  Mixed-level
-nestings the rules cannot reach are routed through the worm assignment when
-they are worm-shaped (all iteration counts 1); anything else is rejected
-rather than approximated.
+and the walk in _reduce_ea builds each step in exactly these shapes.  The
+rules file data/rules.txt names and cites the rule for each transform (these
+two and pa-con-product, (rfn 1 a PA) ~> (rfn 1 e0*(1+a) EA+) for finite a);
+every step is authorized by its transform's rule, and a step with no rule is
+refused.  Mixed-level nestings the rules cannot reach are routed through the
+worm assignment when they are worm-shaped (all iteration counts 1); anything
+else is rejected rather than approximated.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import importlib.resources
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ._scan import LETTERS, TOKEN, Scanner, numeral_value, within_depth
+from ._scan import LETTERS, TOKEN, within_depth
 from .errors import CatalogError, RangeError, ShapeError
 from .ordinals import (
     EPSILON0,
@@ -92,140 +93,51 @@ TRANSFORMS = ("level-drop-omega-power", "concatenation", "pa-con-product")
 @dataclass(frozen=True)
 class ReductionRule:
     name: str
-    pattern: "Pattern"
     ordinal_transform: str
     citation: str
 
 
-@dataclass(frozen=True)
-class Pattern:
-    """Shape over TheoryExpr: kind is 'base' (literal), 'theory-var', or
-    'rfn' with a level spec ('lit', n) | ('var', v) | ('succ', v), an
-    iteration variable, and a nested body pattern."""
-
-    kind: str
-    base: str = ""
-    var: str = ""
-    level: tuple = ()
-    iter_var: str = ""
-    body: "Pattern | None" = None
-
-
-def parse_pattern(text: str) -> Pattern:
-    scan = Scanner(text, CatalogError)
-    pattern = _pattern(scan)
-    if scan.peek():
-        raise CatalogError(f"trailing tokens in pattern {text!r}")
-    return pattern
-
-
-def _token(scan: Scanner) -> str:
-    scan.skip_ws()
-    return scan.word(TOKEN)
-
-
-def _pattern(scan: Scanner) -> Pattern:
-    ch = scan.peek()
-    if ch != "(":
-        head = scan.word(TOKEN)
-        if head in ("EA+", "PA"):
-            return Pattern("base", base=head)
-        if head.isalpha() and head.islower():
-            return Pattern("theory-var", var=head)
-        raise CatalogError(f"bad pattern token {head or ch!r}" if ch else "empty pattern")
-    scan.pos += 1
-    if _token(scan) != "rfn":
-        raise CatalogError("only (rfn ...) patterns are supported")
-    scan.skip_ws()
-    level_tok = scan.word(TOKEN)
-    if level_tok.isdecimal():
-        level = ("lit", within_depth(numeral_value(level_tok), "reflection level"))
-    elif level_tok.endswith("+1"):
-        level = ("succ", level_tok[:-2])
-    else:
-        level = ("var", level_tok)
-    iter_var = _token(scan)
-    if not level_tok or not iter_var:
-        raise CatalogError("an (rfn ...) pattern needs a level, an iteration variable and a body")
-    body = scan.nested(_pattern, scan)
-    if scan.peek() != ")":
-        raise CatalogError("unbalanced pattern parentheses")
-    scan.pos += 1
-    return Pattern("rfn", level=level, iter_var=iter_var, body=body)
-
-
-def pattern_matches(pattern: Pattern, expr: TheoryExpr, bindings: dict | None = None) -> bool:
-    if bindings is None:
-        bindings = {}
-    if pattern.kind == "base":
-        return isinstance(expr, Base) and expr.name == pattern.base
-    if pattern.kind == "theory-var":
-        seen = bindings.setdefault(("t", pattern.var), expr)
-        return seen == expr
-    if not isinstance(expr, Reflect):
-        return False
-    tag, value = pattern.level
-    if tag == "lit":
-        if expr.level != value:
-            return False
-    elif tag == "succ":
-        if expr.level < 2:
-            return False
-        seen = bindings.setdefault(("n", value), expr.level - 1)
-        if seen != expr.level - 1:
-            return False
-    else:
-        seen = bindings.setdefault(("n", value), expr.level)
-        if seen != expr.level:
-            return False
-    seen = bindings.setdefault(("a", pattern.iter_var), expr.iterations)
-    if seen != expr.iterations:
-        return False
-    return pattern_matches(pattern.body, expr.over, bindings)
-
-
 class RuleSet:
+    """At most one rule per transform: the rule that licenses, and cites,
+    every step of that transform the reduction takes."""
+
     def __init__(self, rules: list[ReductionRule]):
         self.rules = tuple(rules)
-        self._by_transform: dict[str, list[ReductionRule]] = {}
-        for rule in rules:
-            self._by_transform.setdefault(rule.ordinal_transform, []).append(rule)
+        self._by_transform = {rule.ordinal_transform: rule for rule in rules}
 
     def authorize(self, transform: str, shape: TheoryExpr) -> ReductionRule:
-        for rule in self._by_transform.get(transform, ()):
-            if pattern_matches(rule.pattern, shape):
-                return rule
-        raise ShapeError(f"no {transform} rule matches {format_theory(shape)}")
+        """The rule for a step of this transform on the shape the reduction
+        built; a step with no rule is refused."""
+        rule = self._by_transform.get(transform)
+        if rule is None:
+            raise ShapeError(f"no {transform} rule matches {format_theory(shape)}")
+        return rule
 
     def has(self, transform: str) -> bool:
         return transform in self._by_transform
 
 
 def parse_rules(text: str) -> RuleSet:
-    rules = []
+    rules: dict[str, ReductionRule] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if not line.startswith("rule "):
             raise CatalogError(f"rules line {lineno}: expected 'rule <name>: ...'")
-        rest = line[len("rule "):]
-        name, sep, rest = rest.partition(":")
+        name, sep, rest = line[len("rule "):].partition(":")
         if not sep:
             raise CatalogError(f"rules line {lineno}: missing ':' after the rule name")
-        pattern_text, sep, rest = rest.partition("=>")
-        if not sep:
-            raise CatalogError(f"rules line {lineno}: missing '=>'")
         transform, sep, citation = rest.partition("cite")
         transform = transform.strip()
-        citation = citation.strip()
         if transform not in TRANSFORMS:
             raise CatalogError(f"rules line {lineno}: unknown transform {transform!r}")
-        if not sep or not citation:
+        if not sep or not citation.strip():
             raise CatalogError(f"rules line {lineno}: every rule needs a citation")
-        pattern = parse_pattern(pattern_text.strip())
-        rules.append(ReductionRule(name.strip(), pattern, transform, citation))
-    return RuleSet(rules)
+        if transform in rules:
+            raise CatalogError(f"rules line {lineno}: a second {transform} rule could never fire")
+        rules[transform] = ReductionRule(name.strip(), transform, citation.strip())
+    return RuleSet(list(rules.values()))
 
 
 def parse_catalog(text: str) -> dict[str, TheoryExpr]:
@@ -268,8 +180,8 @@ def catalog_lookup(name: str) -> TheoryExpr:
 def reduce_to_level(t: TheoryExpr, k: int) -> TheoryExpr:
     """Canonical form Reflect(k, gamma, EA+) of t (or EA+ itself when gamma
     would be 0), via level drops and concatenation; PA-based input reduces
-    through the level-1 catalog rule.  Every step must match a rule of
-    data/rules.txt."""
+    through the level-1 catalog rule.  Every step is authorized by the rule
+    data/rules.txt gives its transform."""
     if k < 1:
         raise ShapeError("reflection level must be >= 1")
     chain = []  # (level, iterations), from the outermost reflection inward

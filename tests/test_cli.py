@@ -1,3 +1,4 @@
+import doctest
 import os
 import shlex
 import subprocess
@@ -449,6 +450,16 @@ def test_readme_shows_every_command(registered_commands):
         words = shlex.split(line, comments=True)
         shown.update(zip(words, words[1:]))
     assert [pair for pair in registered_commands if pair not in shown] == []
+
+
+def test_readme_python_example_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## The pieces\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    parser = doctest.DocTestParser()
+    test = parser.get_doctest(block, {}, "README.md", "README.md", 0)
+    assert len(test.examples) >= 5
+    results = doctest.DocTestRunner().run(test)
+    assert results.failed == 0
 
 
 # --- real process -------------------------------------------------------------------

@@ -91,6 +91,12 @@ def test_constar_goldens():
 def test_constar_avoids_bound_name_collision():
     text = con_star_equation("β", "T")
     assert "∀γ" in text
+    # The bound variable cannot capture the theory name either, in either mode.
+    assert con_star_equation("α", "β") == "PA ⊢ Con★(α,β) ↔ ∀γ ≺ α Con(β+⌜Con★(γ,β)⌝)"
+    assert con_star_equation("a", "beta", ascii_mode=True) == (
+        "PA |- Con*(a,beta) <-> forall gamma < a Con(beta+[Con*(gamma,beta)])"
+    )
+    assert "∀δ" in con_star_equation("β", "gamma")
     with pytest.raises(RangeError):
         con_star_equation("", "T")
 

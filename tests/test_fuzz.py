@@ -28,7 +28,7 @@ THEORY = ORDINAL + ["(rfn ", "(con ", "EA+", "PA"]
 WORM = DIGITS + [" ", "\t", "T"]
 PREDICATE = DIGITS + [" ", "x", "+", "*", "<", "<=", ">", ">=", "=", "!=", "(", ")",
                       "and", "or", "not", "true", "false"]
-PATTERN = DIGITS + [" ", "(rfn ", "(", ")", "n+1", "n", "a", "t", "EA+", "PA"]
+RULE = DIGITS + [" ", "rule ", "r", ":", "cite", "#", "\n", *TRANSFORMS]
 
 
 def _text(alphabet: list[str]):
@@ -40,8 +40,9 @@ def _text(alphabet: list[str]):
 THEORIES = st.builds(lambda head, rest: (head + rest)[:60],
                      st.sampled_from(["", "(rfn ", "(con "]), _text(THEORY))
 RULES = st.one_of(
-    st.builds("rule r: {} => {} cite c".format, _text(PATTERN), st.sampled_from(TRANSFORMS)),
-    _text(PATTERN + ["rule ", ":", "=>", "cite", "#", "\n"]),
+    st.lists(st.builds("rule r: {} cite {}".format, st.sampled_from(TRANSFORMS), _text(RULE)),
+             max_size=3).map("\n".join),
+    _text(RULE),
 )
 CATALOG = st.lists(
     st.one_of(THEORIES.map("name = {}".format), st.sampled_from(["", "# note", "name"])),

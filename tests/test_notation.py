@@ -53,6 +53,16 @@ def test_predicate_parse_errors(text):
         parse_predicate(text)
 
 
+def test_predicate_value_is_its_text_and_tree():
+    for text in BATTERY:
+        p, q = parse_predicate(text), parse_predicate(text)
+        assert p._fn is not q._fn
+        assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+        assert "_fn" not in repr(p)
+        assert kreisel_presentation(p) == kreisel_presentation(q)
+    assert parse_predicate("x != 7") != parse_predicate("x != 8")
+
+
 def test_compiled_predicate_agrees_with_ast():
     for text in BATTERY:
         p = parse_predicate(text)

@@ -25,6 +25,7 @@ from ordlab.ordinals import (
 from ordlab.theories import (
     EA_PLUS,
     PA,
+    TRANSFORMS,
     Base,
     Reflect,
     RuleSet,
@@ -33,10 +34,8 @@ from ordlab.theories import (
     default_rules,
     format_theory,
     omega_model_dilator,
-    parse_pattern,
     parse_rules,
     parse_theory,
-    pattern_matches,
     pi_ordinal,
     progression_stage,
     reduce_to_level,
@@ -336,6 +335,10 @@ def test_every_rule_has_citation_and_known_transform():
         assert rule.ordinal_transform in (
             "level-drop-omega-power", "concatenation", "pa-con-product",
         )
+    # Exactly one rule for each transform: a second could never fire.
+    assert sorted(rule.ordinal_transform for rule in rules.rules) == sorted(TRANSFORMS)
+    for transform in TRANSFORMS:
+        assert rules.authorize(transform, EA_PLUS).ordinal_transform == transform
 
 
 def test_rule_file_rejects_bad_lines():
@@ -347,9 +350,15 @@ def test_rule_file_rejects_bad_lines():
         parse_rules("this is not a rule line")
     with pytest.raises(CatalogError):
         parse_rules("rule x: (rfn => concatenation cite y")
-    for short in ("(rfn", "(rfn 1", "(rfn n a", "(rfn n a t", ")", ""):
-        with pytest.raises(CatalogError):
-            parse_pattern(short)
+    with pytest.raises(CatalogError):
+        parse_rules("rule broken: mystery-transform cite somewhere")
+    with pytest.raises(CatalogError):
+        parse_rules("rule broken: concatenation")
+    # A line naming a shape before '=>' names no transform.
+    with pytest.raises(CatalogError, match="unknown transform"):
+        parse_rules("rule old: (rfn n a (rfn n b t)) => concatenation cite y")
+    with pytest.raises(CatalogError, match="line 2: a second concatenation rule"):
+        parse_rules("rule one: concatenation cite x\nrule two: concatenation cite y")
 
 
 def test_reduction_requires_rules(monkeypatch):
@@ -359,23 +368,6 @@ def test_reduction_requires_rules(monkeypatch):
         reduce_to_level(Reflect(2, ONE, EA_PLUS), 1)
     with pytest.raises(ShapeError):
         reduce_to_level(PA, 1)
-
-
-def test_pattern_matching():
-    drop_pat = parse_pattern("(rfn n+1 a t)")
-    assert pattern_matches(drop_pat, Reflect(2, ONE, EA_PLUS))
-    assert not pattern_matches(drop_pat, Reflect(1, ONE, EA_PLUS))
-    concat = parse_pattern("(rfn n a (rfn n b t))")
-    assert pattern_matches(concat, Reflect(2, ONE, Reflect(2, OMEGA, EA_PLUS)))
-    assert not pattern_matches(concat, Reflect(2, ONE, Reflect(1, OMEGA, EA_PLUS)))
-    # Only a numeral is a level literal; any other token is a level variable.
-    assert parse_pattern("(rfn ² a t)").level == ("var", "²")
-    assert parse_pattern("(rfn 2x a t)").level == ("var", "2x")
-    with pytest.raises(RangeError):
-        parse_pattern("(rfn 99999999999 a t)")
-    pa_pat = parse_pattern("(rfn 1 a PA)")
-    assert pattern_matches(pa_pat, Reflect(1, from_int(2), PA))
-    assert not pattern_matches(pa_pat, Reflect(1, from_int(2), EA_PLUS))
 
 
 # --- text format ------------------------------------------------------------------------
@@ -411,14 +403,9 @@ def test_depth_cap_on_levels_and_nesting():
     assert Reflect(MAX_DEPTH, ONE, EA_PLUS).level == MAX_DEPTH
     nested = "(con 1 " * MAX_DEPTH + "EA+" + ")" * MAX_DEPTH
     assert pi_ordinal(parse_theory(nested), 1) == from_int(MAX_DEPTH)
-    pattern = "(rfn n a " * MAX_DEPTH + "t" + ")" * MAX_DEPTH
-    assert parse_pattern(pattern).level == ("var", "n")
-    assert parse_pattern(f"(rfn {MAX_DEPTH} a t)").level == ("lit", MAX_DEPTH)
     for make in (lambda: Reflect(MAX_DEPTH + 1, ONE, EA_PLUS),
                  lambda: parse_theory(f"(rfn {MAX_DEPTH + 1} 1 EA+)"),
-                 lambda: parse_theory("(con 1 " + nested + ")"),
-                 lambda: parse_pattern("(rfn n a " + pattern + ")"),
-                 lambda: parse_pattern(f"(rfn {MAX_DEPTH + 1} a t)")):
+                 lambda: parse_theory("(con 1 " + nested + ")")):
         with pytest.raises(RangeError):
             make()
 
