@@ -31,13 +31,14 @@ window check, audit or descent search may ask for, and the largest bound
 DEFAULT_FUEL = 10000
 """The notation lab's fuel when none is given."""
 
+# The parser tries these in order, so each two-character operator precedes its prefix.
 _COMPARISONS = {
     "<=": lambda a, b: a <= b,
     "<": lambda a, b: a < b,
     ">=": lambda a, b: a >= b,
     ">": lambda a, b: a > b,
-    "=": lambda a, b: a == b,
     "==": lambda a, b: a == b,
+    "=": lambda a, b: a == b,
     "!=": lambda a, b: a != b,
 }
 
@@ -61,9 +62,7 @@ def eval_tree(tree: tuple, n: int):
     """Reference evaluator for the predicate AST (the compiled form must
     agree with this on every input)."""
     tag = tree[0]
-    if tag == "bool":
-        return tree[1]
-    if tag == "num":
+    if tag in ("bool", "num"):
         return tree[1]
     if tag == "var":
         return n
@@ -129,7 +128,7 @@ class _PredicateParser(Scanner):
                 self.pos = save
         left = self.arith()
         self.skip_ws()
-        for op in ("<=", ">=", "==", "!=", "<", ">", "="):
+        for op in _COMPARISONS:
             if self.text.startswith(op, self.pos):
                 self.pos += len(op)
                 return self.node(op if op != "==" else "=", left, self.arith())
@@ -178,8 +177,6 @@ def _tree_to_python(tree: tuple) -> str:
         return "x"
     if tag == "not":
         return f"(not {_tree_to_python(tree[1])})"
-    if tag in ("and", "or"):
-        return f"({_tree_to_python(tree[1])} {tag} {_tree_to_python(tree[2])})"
     op = {"=": "=="}.get(tag, tag)
     return f"({_tree_to_python(tree[1])} {op} {_tree_to_python(tree[2])})"
 

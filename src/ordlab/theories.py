@@ -3,16 +3,16 @@ with Schmerl-style reduction to a single reflection level, Pi_n
 proof-theoretic ordinals, progression-stage algebra, and the dilator that
 measures iterated omega-model reflection.
 
-The two core reductions are
+The reduction has four transforms:
   level drop:      (rfn n+1 a T)  ~>  (rfn n w^a T)   at level n,
   concatenation:   (rfn n a (rfn n b T))  ~>  (rfn n b+a T),
-and the walk in _reduce_ea builds each step in exactly these shapes.  The
-rules file data/rules.txt names and cites the rule for each transform (these
-two and pa-con-product, (rfn 1 a PA) ~> (rfn 1 e0*(1+a) EA+) for finite a);
-every step is authorized by its transform's rule, and a step with no rule is
-refused.  Mixed-level nestings the rules cannot reach are routed through the
-worm assignment when they are worm-shaped (all iteration counts 1); anything
-else is rejected rather than approximated.
+  pa-con-product:  (rfn 1 a PA), or PA for a = 0  ~>  (rfn 1 e0*(1+a) EA+), a finite,
+  worm route:      a worm-shaped theory (every iteration count 1) at level 1
+                   ~>  (rfn 1 o(w) EA+), o(w) the ordinal of its worm w.
+The walk builds each step in exactly these shapes and asks data/rules.txt,
+which names and cites exactly one rule per transform, for its rule; a rule
+set that misses or repeats a transform is refused when it is made.  Other
+mixed-level nestings are rejected rather than approximated.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ class Reflect(TheoryExpr):
 EA_PLUS = Base("EA+")
 PA = Base("PA")
 
-TRANSFORMS = ("level-drop-omega-power", "concatenation", "pa-con-product")
+TRANSFORMS = ("level-drop-omega-power", "concatenation", "pa-con-product", "worm-route")
 
 
 # ---------------------------------------------------------------------------
@@ -98,23 +98,21 @@ class ReductionRule:
 
 
 class RuleSet:
-    """At most one rule per transform: the rule that licenses, and cites,
+    """Exactly one rule per transform: the rule that licenses, and cites,
     every step of that transform the reduction takes."""
 
     def __init__(self, rules: list[ReductionRule]):
         self.rules = tuple(rules)
+        for transform in TRANSFORMS:
+            count = [rule.ordinal_transform for rule in self.rules].count(transform)
+            if count != 1:
+                raise CatalogError(f"a rule set needs exactly one {transform} rule, not {count}")
         self._by_transform = {rule.ordinal_transform: rule for rule in rules}
 
     def authorize(self, transform: str, shape: TheoryExpr) -> ReductionRule:
         """The rule for a step of this transform on the shape the reduction
-        built; a step with no rule is refused."""
-        rule = self._by_transform.get(transform)
-        if rule is None:
-            raise ShapeError(f"no {transform} rule matches {format_theory(shape)}")
-        return rule
-
-    def has(self, transform: str) -> bool:
-        return transform in self._by_transform
+        built."""
+        return self._by_transform[transform]
 
 
 def parse_rules(text: str) -> RuleSet:
@@ -179,9 +177,9 @@ def catalog_lookup(name: str) -> TheoryExpr:
 
 def reduce_to_level(t: TheoryExpr, k: int) -> TheoryExpr:
     """Canonical form Reflect(k, gamma, EA+) of t (or EA+ itself when gamma
-    would be 0), via level drops and concatenation; PA-based input reduces
-    through the level-1 catalog rule.  Every step is authorized by the rule
-    data/rules.txt gives its transform."""
+    would be 0), via level drops and concatenation, or the worm route at a
+    level gap; PA-based input reduces through pa-con-product.  Every step
+    and route is authorized by the rule data/rules.txt gives its transform."""
     if k < 1:
         raise ShapeError("reflection level must be >= 1")
     chain = []  # (level, iterations), from the outermost reflection inward
@@ -197,6 +195,7 @@ def reduce_to_level(t: TheoryExpr, k: int) -> TheoryExpr:
         # measured at level 1 by its worm (Beklemishev 2004).
         if k != 1 or any(iterations != ONE for _, iterations in chain):
             raise ShapeError(f"{format_theory(t)} is outside the supported shapes at level {k}")
+        default_rules().authorize("worm-route", t)
         gamma = worm_ordinal(Worm(tuple(level - 1 for level, _ in chain)))
     if gamma.is_zero():
         return EA_PLUS
@@ -233,11 +232,7 @@ def _reduce_pa(chain: list[tuple[int, Ordinal]], k: int) -> TheoryExpr:
         total = add(iterations, total)
     if not is_natural(total):
         raise ShapeError("transfinite iteration over PA is outside the catalog")
-    rules = default_rules()
-    if chain:
-        rules.authorize("pa-con-product", Reflect(1, total, PA))
-    elif not rules.has("pa-con-product"):
-        raise ShapeError("no pa-con-product rule is loaded")
+    default_rules().authorize("pa-con-product", Reflect(1, total, PA) if chain else PA)
     return Reflect(1, mul_nat(EPSILON0, 1 + to_int(total)), EA_PLUS)
 
 

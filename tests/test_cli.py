@@ -164,6 +164,8 @@ def test_domain_error_exit_1_and_empty_stdout(capsys):
     (("notation", "audit", "y = 1", "10"), "error: predicate: expected a numeral, 'x', or '(' at position 0"),
     (("notation", "audit", "(x != 1", "10"), "error: predicate: expected ')' at position 3"),
     (("notation", "audit", "x = 1 x", "10"), "error: predicate: trailing input at position 6"),
+    (("ord", "mul", "w", "-1"), "error: range: multiplier must be a natural number"),
+    (("--max-nodes", "-1", "ord", "enum"), "error: range: max_nodes must be a natural number"),
 ])
 def test_error_lines(capsys, argv, line):
     code, out, err = invoke(capsys, *argv)

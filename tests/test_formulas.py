@@ -169,6 +169,13 @@ def test_power_rendering():
         ConAtom(ref, power=0)
 
 
+def test_equation_renders_and_str_is_pretty():
+    equation = Equals(Var("y"), Num(3))
+    assert pretty(equation) == pretty(equation, ascii_mode=True) == "y = 3"
+    template = slowcon(PHI)
+    assert str(template) == pretty(template)
+
+
 def test_ascii_mode_is_ascii():
     # Every name is transliterated, not only hole names.
     f = ForAll("α", Implies(Leq(Var("α"), Var("β")), Hole("φ")))

@@ -41,7 +41,7 @@ THEORIES = st.builds(lambda head, rest: (head + rest)[:60],
                      st.sampled_from(["", "(rfn ", "(con "]), _text(THEORY))
 RULES = st.one_of(
     st.lists(st.builds("rule r: {} cite {}".format, st.sampled_from(TRANSFORMS), _text(RULE)),
-             max_size=3).map("\n".join),
+             max_size=len(TRANSFORMS)).map("\n".join),
     _text(RULE),
 )
 CATALOG = st.lists(

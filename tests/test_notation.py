@@ -70,6 +70,37 @@ def test_compiled_predicate_agrees_with_ast():
             assert p.evaluate(n) == bool(eval_tree(p.tree, n))
 
 
+def _random_arith(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(["x", str(rng.randint(0, 60))])
+    op = rng.choice(["+", "*", "()"])
+    if op == "()":
+        return f"({_random_arith(rng, depth - 1)})"
+    return f"{_random_arith(rng, depth - 1)} {op} {_random_arith(rng, depth - 1)}"
+
+
+def _random_predicate(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        if rng.random() < 0.1:
+            return rng.choice(["true", "false"])
+        op = rng.choice(["<", "<=", ">", ">=", "=", "==", "!="])
+        return f"{_random_arith(rng, 2)} {op} {_random_arith(rng, 2)}"
+    kind = rng.choice(["and", "or", "not", "()"])
+    if kind == "not":
+        return f"not {_random_predicate(rng, depth - 1)}"
+    if kind == "()":
+        return f"({_random_predicate(rng, depth - 1)})"
+    return f"{_random_predicate(rng, depth - 1)} {kind} {_random_predicate(rng, depth - 1)}"
+
+
+def test_compiled_predicate_agrees_with_ast_on_the_whole_grammar():
+    rng = random.Random(2021)
+    for _ in range(300):
+        p = parse_predicate(_random_predicate(rng, 3))
+        for n in range(61):
+            assert p.evaluate(n) == bool(eval_tree(p.tree, n)), (p.source, n)
+
+
 def test_predicate_at_depth_cap():
     # MAX - 1 factors make a product tree MAX - 1 deep; the comparison adds one.
     at_cap = [
@@ -94,6 +125,11 @@ def test_predicate_at_depth_cap():
 
 
 # --- the order -----------------------------------------------------------------------
+
+def test_order_is_on_naturals():
+    with pytest.raises(RangeError, match="^the order is on natural numbers$"):
+        kreisel_presentation("true").less(-1, 0)
+
 
 def test_true_predicate_gives_standard_order():
     p = kreisel_presentation("true")

@@ -1,4 +1,5 @@
 import random
+import re
 from functools import cmp_to_key
 
 import pytest
@@ -77,6 +78,19 @@ def test_width_rule_holds_for_products_and_sums():
                  lambda: parse_ordinal("(w*4294967296)*2")):
         with pytest.raises(RangeError):
             make()
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: from_int(-1), "ordinals cannot be negative"),
+    (lambda: to_int(OMEGA), "w is not a natural number"),
+    (lambda: mul_nat(OMEGA, -1), "multiplier must be a natural number"),
+    (lambda: iter_omega(-1, 0), "iteration count must be a natural number"),
+    (lambda: ordinals.phi_argument(1, OMEGA), "w is not a value of phi_1"),
+    (lambda: enumerate_terms(-1), "max_nodes must be a natural number"),
+])
+def test_range_errors_name_the_bad_argument(make, message):
+    with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 def _nest(opening: str, core: str, closing: str, depth: int) -> str:

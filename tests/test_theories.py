@@ -124,6 +124,7 @@ def _ref_reduce_to_level(t, k, rules):
             raise ShapeError(
                 f"{format_theory(t)} is outside the supported shapes at level {k}"
             ) from None
+        rules.authorize("worm-route", t)
         gamma = worm_ordinal(Worm(letters))
     if gamma.is_zero():
         return EA_PLUS
@@ -169,10 +170,7 @@ def _ref_reduce_pa(t, k, rules):
         node = node.over
     if not is_natural(iterations):
         raise ShapeError("transfinite iteration over PA is outside the catalog")
-    if isinstance(t, Reflect):
-        rules.authorize("pa-con-product", Reflect(1, iterations, PA))
-    elif not rules.has("pa-con-product"):
-        raise ShapeError("no pa-con-product rule is loaded")
+    rules.authorize("pa-con-product", Reflect(1, iterations, PA) if isinstance(t, Reflect) else PA)
     return Reflect(1, mul_nat(EPSILON0, 1 + to_int(iterations)), EA_PLUS)
 
 
@@ -332,9 +330,7 @@ def test_every_rule_has_citation_and_known_transform():
     assert len(rules.rules) >= 3
     for rule in rules.rules:
         assert rule.citation
-        assert rule.ordinal_transform in (
-            "level-drop-omega-power", "concatenation", "pa-con-product",
-        )
+        assert rule.ordinal_transform in TRANSFORMS
     # Exactly one rule for each transform: a second could never fire.
     assert sorted(rule.ordinal_transform for rule in rules.rules) == sorted(TRANSFORMS)
     for transform in TRANSFORMS:
@@ -361,13 +357,31 @@ def test_rule_file_rejects_bad_lines():
         parse_rules("rule one: concatenation cite x\nrule two: concatenation cite y")
 
 
-def test_reduction_requires_rules(monkeypatch):
-    empty = parse_rules("")
-    monkeypatch.setattr(theories, "default_rules", lambda: empty)
-    with pytest.raises(ShapeError):
-        reduce_to_level(Reflect(2, ONE, EA_PLUS), 1)
-    with pytest.raises(ShapeError):
-        reduce_to_level(PA, 1)
+def test_rule_set_names_each_transform_once():
+    rules = list(default_rules().rules)
+    with pytest.raises(CatalogError, match="exactly one level-drop-omega-power rule, not 0"):
+        RuleSet([])
+    with pytest.raises(CatalogError, match="exactly one level-drop-omega-power rule, not 0"):
+        parse_rules("")
+    for i, rule in enumerate(rules):
+        with pytest.raises(CatalogError, match=f"exactly one {rule.ordinal_transform} rule, not 0"):
+            RuleSet(rules[:i] + rules[i + 1:])
+        with pytest.raises(CatalogError, match=f"exactly one {rule.ordinal_transform} rule, not 2"):
+            RuleSet(rules + [rule])
+
+
+def test_every_route_asks_its_rule(monkeypatch):
+    log = []
+    monkeypatch.setattr(theories, "default_rules", lambda: _LoggedRules(log))
+    worm_shaped = parse_theory("(con 1 (rfn 3 1 (con 1 EA+)))")
+    for t, calls in [
+        (PA, [("pa-con-product", "PA")]),
+        (Reflect(1, from_int(2), PA), [("pa-con-product", "(con 2 PA)")]),
+        (worm_shaped, [("worm-route", format_theory(worm_shaped))]),
+    ]:
+        log.clear()
+        reduce_to_level(t, 1)
+        assert log == calls
 
 
 # --- text format ------------------------------------------------------------------------
