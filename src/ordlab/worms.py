@@ -5,6 +5,10 @@ the ordinals below epsilon_0.
 The leftmost letter is the outermost modality; the empty worm is the trivial
 assertion (printed "T") and has ordinal 0.  o respects the 0-consistency
 ordering, so worms compare by comparing their ordinals.
+
+A Worm checks its letters once, when it is made; o and its inverse then
+work on bare letter tuples.  o is memoised in one bounded cache of 2**16
+entries, keyed by letter tuples, which the pieces of a worm share.
 """
 
 from __future__ import annotations
@@ -64,24 +68,36 @@ def drop(w: Worm) -> Worm:
     return Worm(tuple(l - 1 for l in w.letters))
 
 
-@lru_cache(maxsize=2**16)
 def worm_ordinal(w: Worm) -> Ordinal:
     """The assignment o: o(T) = 0; splitting at the leftmost 0 into H.<0>.T
     with 0-free H gives o = o(T) + w^o(drop H); a nonempty 0-free worm is
     its own head: o = w^o(drop w).  Unrolled, o sums w^o(drop H) over the
     0-separated pieces H, rightmost first (an empty rightmost piece adds
-    nothing), so it recurses through letter values, never along the worm."""
-    dropped = [[]]
-    for letter in w.letters:
-        if letter:
-            dropped[-1].append(letter - 1)
-        else:
-            dropped.append([])
-    last = dropped.pop()
-    total = veblen(ZERO, worm_ordinal(Worm(tuple(last)))) if last else ZERO
-    for head in reversed(dropped):
-        total = add(total, veblen(ZERO, worm_ordinal(Worm(tuple(head)))))
+    nothing), so it recurses through letter values, never along the worm.
+    worm_ordinal.cache_info() and cache_clear() reach its one cache."""
+    return _ordinal(w.letters)
+
+
+@lru_cache(maxsize=2**16)
+def _ordinal(letters: tuple[int, ...]) -> Ordinal:
+    """o on the letters of a checked worm.  A nonempty piece H is 0-free,
+    so o(H) = w^o(drop H) is its summand, cached under H's letters."""
+    if 0 not in letters:
+        return veblen(ZERO, _ordinal(tuple(l - 1 for l in letters))) if letters else ZERO
+    heads = []
+    start = 0
+    for i, letter in enumerate(letters):
+        if not letter:
+            heads.append(letters[start:i])
+            start = i + 1
+    total = _ordinal(letters[start:])
+    for head in reversed(heads):
+        total = add(total, _ordinal(head) if head else ONE)
     return total
+
+
+worm_ordinal.cache_info = _ordinal.cache_info
+worm_ordinal.cache_clear = _ordinal.cache_clear
 
 
 def worm_compare(u: Worm, v: Worm) -> int:
@@ -92,23 +108,33 @@ def worm_compare(u: Worm, v: Worm) -> int:
 def worm_of_ordinal(x: Ordinal) -> Worm:
     """Canonical preimage of o for x < epsilon_0.
 
-    Each copy of an atom w^b of x, smallest first, gives the piece
-    lift(worm(b), 1), which o maps to that atom; a 0 follows every piece
-    but the last, and the last too when it is empty (the atom 1).
+    Each copy of an atom w^b of x, smallest first, gives the piece worm(b)
+    with every letter raised by 1, which o maps to that atom; a 0 follows
+    every piece but the last, and the last too when it is empty (the atom 1).
     """
     if compare(x, EPSILON0) >= 0:
         raise RangeError(f"{x} is not below e0, which worms cannot reach")
+    return Worm(_letters_of(x, 0))
+
+
+def _letters_of(x: Ordinal, k: int) -> tuple[int, ...]:
+    """The letters of worm_of_ordinal(x), each raised by k.  Every level
+    checks the worm it stands for, its letters less k, against the letter
+    cap and MAX_WORM_LENGTH, innermost first."""
     if x.is_zero():
-        return TOP
+        return ()
     letters: list[int] = []
     for atom, count in reversed(x.parts):
-        piece = lift(worm_of_ordinal(atom.arg), 1).letters + (0,)
+        piece = _letters_of(atom.arg, k + 1)
+        if piece:
+            within_depth(max(piece) - k, "worm letter")
+        piece += (k,)
         if len(letters) + count * len(piece) > MAX_WORM_LENGTH:
             raise RangeError(f"the worm of {x} needs more than {MAX_WORM_LENGTH} letters")
         letters += piece * count
     if len(piece) > 1:
         letters.pop()
-    return Worm(tuple(letters))
+    return tuple(letters)
 
 
 def theory_of_worm(w: Worm):
