@@ -20,6 +20,14 @@ recursion that builds, compares and prints a value."""
 MAX_NUMERAL_DIGITS = 4300
 """Longest numeral: CPython's default limit for int() on a decimal string."""
 
+MAX_FUEL = 10**6
+"""Ceiling on the notation lab's fuel: the most predicate evaluations one
+window check, audit or descent search may ask for, and the largest bound
+``least_counterexample``, and so ``less``, accepts."""
+
+DEFAULT_FUEL = 10000
+"""The notation lab's fuel when none is given."""
+
 # Runs for Scanner.word.  In re, \s, \d and \w match exactly the characters
 # for which str.isspace, str.isdecimal and str.isalnum (or "_") hold.
 DIGITS = re.compile(r"\d*")

@@ -11,20 +11,8 @@ import argparse
 import functools
 import sys
 
-from . import notation
+from ._scan import DEFAULT_FUEL
 from .errors import OrdlabError
-from .formulas import TOP, Hole, con_star_equation, pretty, rosser_combination, slowcon, sv, sv_star
-from .ordinals import add, compare, enumerate_terms, mul_nat, next_phi_value, parse_ordinal, veblen
-from .theories import (
-    catalog_lookup,
-    default_catalog,
-    omega_model_dilator,
-    parse_theory,
-    pi_ordinal,
-    progression_stage,
-    reduce_to_level,
-)
-from .worms import parse_worm, theory_of_worm, worm_compare, worm_of_ordinal, worm_ordinal
 
 _CMP_NAMES = {-1: "LT", 0: "EQ", 1: "GT"}
 
@@ -38,50 +26,63 @@ _GROUPS = {
 }
 
 
+@functools.cache
+def _lib(module: str):
+    """The library module ``ordlab.<module>``, imported when a command first
+    needs it: a command loads only the modules it uses."""
+    qualified = f"{__package__}.{module}"
+    __import__(qualified)  # unlike importlib.import_module, -X importtime reports it
+    return sys.modules[qualified]
+
+
 # Readers: each turns an argument's text into a value once parsing is done.
-# They and the table's calls look library functions up when they run, so a
-# caller that rebinds this module's names (as bench/tracer.py does) sees
-# every call.
+# They and the table's calls reach library functions only through _lib: this
+# module itself imports just the limits and the error types.
 
 def _ordinal(text: str):
-    return parse_ordinal(text)
+    return _lib("ordinals").parse_ordinal(text)
 
 
 def _worm(text: str):
-    return parse_worm(text)
+    return _lib("worms").parse_worm(text)
 
 
 def _theory(text: str):
-    catalog = default_catalog()
+    theories = _lib("theories")
+    catalog = theories.default_catalog()
     if text in catalog:
         return catalog[text]
-    return parse_theory(text)
+    return theories.parse_theory(text)
 
 
 def _presentation(text: str):
-    return notation.kreisel_presentation(text)
+    return _lib("notation").kreisel_presentation(text)
 
 
 def _catalog(name: str | None):
+    theories = _lib("theories")
     if name is not None:
-        return catalog_lookup(name)
-    return "\n".join(f"{name} = {expr}" for name, expr in default_catalog().items())
+        return theories.catalog_lookup(name)
+    return "\n".join(f"{name} = {expr}" for name, expr in theories.default_catalog().items())
 
 
 def _kreisel(p, window: int, fuel: int) -> str:
-    ascending = notation.check_ascending(p, window, fuel=fuel)
+    ascending = _lib("notation").check_ascending(p, window, fuel=fuel)
     return f"predicate: {p.predicate.source}\nwindow: {window}\nascending: {'yes' if ascending else 'no'}"
 
 
 def _descend(p, fuel: int) -> str:
-    chain = notation.find_descending(p, fuel)
+    chain = _lib("notation").find_descending(p, fuel)
     return "none" if chain is None else " ".join(map(str, chain))
 
 
 def _formula(make):
-    """A formula command's call: the formula ``make(ns)`` rendered in the
-    output mode --ascii selects."""
-    return lambda ns: pretty(make(ns), ascii_mode=ns.ascii)
+    """A formula command's call: the formula ``make(f, ns)``, built from the
+    formulas module ``f``, rendered in the output mode --ascii selects."""
+    def call(ns):
+        f = _lib("formulas")
+        return f.pretty(make(f, ns), ascii_mode=ns.ascii)
+    return call
 
 
 def _arg(name: str, read=None, **options):
@@ -97,56 +98,62 @@ _TOP = _arg("--top", action="store_true", help="instantiate at verum")
 # namespace ``ns``.
 _COMMANDS = [
     ("ord", "cmp", "compare two ordinals",
-     [_arg("x", _ordinal), _arg("y", _ordinal)], lambda ns: _CMP_NAMES[compare(ns.x, ns.y)]),
+     [_arg("x", _ordinal), _arg("y", _ordinal)],
+     lambda ns: _CMP_NAMES[_lib("ordinals").compare(ns.x, ns.y)]),
     ("ord", "add", "ordinal sum",
-     [_arg("x", _ordinal), _arg("y", _ordinal)], lambda ns: add(ns.x, ns.y)),
+     [_arg("x", _ordinal), _arg("y", _ordinal)], lambda ns: _lib("ordinals").add(ns.x, ns.y)),
     ("ord", "mul", "multiply an ordinal by a natural",
-     [_arg("x", _ordinal), _arg("n", type=int)], lambda ns: mul_nat(ns.x, ns.n)),
+     [_arg("x", _ordinal), _arg("n", type=int)], lambda ns: _lib("ordinals").mul_nat(ns.x, ns.n)),
     ("ord", "normalize", "parse and reprint in canonical form",
      [_arg("x", _ordinal)], lambda ns: ns.x),
     ("ord", "phi", "evaluate the Veblen function phi_a(b)",
-     [_arg("a", _ordinal), _arg("b", _ordinal)], lambda ns: veblen(ns.a, ns.b)),
+     [_arg("a", _ordinal), _arg("b", _ordinal)], lambda ns: _lib("ordinals").veblen(ns.a, ns.b)),
     ("ord", "next-phi", "least phi_a value strictly above b",
-     [_arg("a", _ordinal), _arg("b", _ordinal)], lambda ns: next_phi_value(ns.a, ns.b)),
+     [_arg("a", _ordinal), _arg("b", _ordinal)], lambda ns: _lib("ordinals").next_phi_value(ns.a, ns.b)),
     ("ord", "enum", "list all canonical terms up to --max-nodes",
-     [], lambda ns: "\n".join(map(str, enumerate_terms(ns.max_nodes)))),
+     [], lambda ns: "\n".join(map(str, _lib("ordinals").enumerate_terms(ns.max_nodes)))),
     ("worm", "o", "ordinal of a worm",
-     [_arg("w", _worm)], lambda ns: worm_ordinal(ns.w)),
+     [_arg("w", _worm)], lambda ns: _lib("worms").worm_ordinal(ns.w)),
     ("worm", "cmp", "compare two worms",
-     [_arg("u", _worm), _arg("v", _worm)], lambda ns: _CMP_NAMES[worm_compare(ns.u, ns.v)]),
+     [_arg("u", _worm), _arg("v", _worm)],
+     lambda ns: _CMP_NAMES[_lib("worms").worm_compare(ns.u, ns.v)]),
     ("worm", "of-ordinal", "canonical worm for an ordinal below e0",
-     [_arg("x", _ordinal)], lambda ns: worm_of_ordinal(ns.x)),
+     [_arg("x", _ordinal)], lambda ns: _lib("worms").worm_of_ordinal(ns.x)),
     ("worm", "to-theory", "reflection expression of a worm",
-     [_arg("w", _worm)], lambda ns: theory_of_worm(ns.w)),
+     [_arg("w", _worm)], lambda ns: _lib("worms").theory_of_worm(ns.w)),
     ("theory", "pi-ordinal", "Pi_k proof-theoretic ordinal",
-     [_arg("theory", _theory), _arg("level", type=int)], lambda ns: pi_ordinal(ns.theory, ns.level)),
+     [_arg("theory", _theory), _arg("level", type=int)],
+     lambda ns: _lib("theories").pi_ordinal(ns.theory, ns.level)),
     ("theory", "reduce", "reduce to a single reflection level",
-     [_arg("theory", _theory), _arg("level", type=int)], lambda ns: reduce_to_level(ns.theory, ns.level)),
+     [_arg("theory", _theory), _arg("level", type=int)],
+     lambda ns: _lib("theories").reduce_to_level(ns.theory, ns.level)),
     ("theory", "stage", "consistency-progression stage",
-     [_arg("theory", _theory), _arg("alpha", _ordinal)], lambda ns: progression_stage(ns.theory, ns.alpha)),
+     [_arg("theory", _theory), _arg("alpha", _ordinal)],
+     lambda ns: _lib("theories").progression_stage(ns.theory, ns.alpha)),
     ("theory", "catalog", "look up a named theory (or list all)",
      [_arg("name", nargs="?")], lambda ns: _catalog(ns.name)),
     ("dilator", "eval", "evaluate the dilator at (alpha, beta)",
-     [_arg("alpha", _ordinal), _arg("beta", _ordinal)], lambda ns: omega_model_dilator(ns.alpha, ns.beta)),
+     [_arg("alpha", _ordinal), _arg("beta", _ordinal)],
+     lambda ns: _lib("theories").omega_model_dilator(ns.alpha, ns.beta)),
     ("notation", "kreisel", "build a presentation and check a window",
      [_arg("predicate", _presentation), _arg("window", type=int)],
      lambda ns: _kreisel(ns.predicate, ns.window, ns.fuel)),
     ("notation", "audit", "counterexample/descent report for a window",
      [_arg("predicate", _presentation), _arg("window", type=int)],
-     lambda ns: notation.audit(ns.predicate, ns.window, fuel=ns.fuel)),
+     lambda ns: _lib("notation").audit(ns.predicate, ns.window, fuel=ns.fuel)),
     ("notation", "descend", "descending chain within --fuel, if any",
      [_arg("predicate", _presentation)], lambda ns: _descend(ns.predicate, ns.fuel)),
     ("formula", "slowcon", "slow consistency statement",
-     [_TOP], _formula(lambda ns: slowcon(TOP if ns.top else Hole("φ")))),
+     [_TOP], _formula(lambda f, ns: f.slowcon(f.TOP if ns.top else f.Hole("φ")))),
     ("formula", "sv", "Shavrukov-Visser operator",
-     [_TOP], _formula(lambda ns: sv(TOP if ns.top else Hole("φ")))),
+     [_TOP], _formula(lambda f, ns: f.sv(f.TOP if ns.top else f.Hole("φ")))),
     ("formula", "svstar", "Shavrukov-Visser density function",
-     [], _formula(lambda ns: sv_star(Hole("φ"), Hole("ψ")))),
+     [], _formula(lambda f, ns: f.sv_star(f.Hole("φ"), f.Hole("ψ")))),
     ("formula", "rosser", "Rosser-style interpolant shape",
-     [], _formula(lambda ns: rosser_combination(Hole("φ"), Hole("ψ"), Hole("θ")))),
+     [], _formula(lambda f, ns: f.rosser_combination(f.Hole("φ"), f.Hole("ψ"), f.Hole("θ")))),
     ("formula", "constar", "iterated-consistency fixed-point equation",
      [_arg("alpha", nargs="?", default="α"), _arg("theory", nargs="?", default="T")],
-     lambda ns: con_star_equation(ns.alpha, ns.theory, ascii_mode=ns.ascii)),
+     lambda ns: _lib("formulas").con_star_equation(ns.alpha, ns.theory, ascii_mode=ns.ascii)),
 ]
 
 
@@ -160,8 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
         "pathological presentations, and formula constructions.",
     )
     parser.add_argument("--ascii", action="store_true", help="render formulas in pure ASCII")
-    parser.add_argument("--fuel", type=int, default=notation.DEFAULT_FUEL, metavar="N",
-                        help=f"search/window cap for the notation lab (default {notation.DEFAULT_FUEL})")
+    parser.add_argument("--fuel", type=int, default=DEFAULT_FUEL, metavar="N",
+                        help=f"search/window cap for the notation lab (default {DEFAULT_FUEL})")
     parser.add_argument("--max-nodes", type=int, default=6, dest="max_nodes", metavar="N",
                         help="structural-size bound for 'ord enum' (default 6)")
     groups = parser.add_subparsers(dest="group", required=True, metavar="GROUP")

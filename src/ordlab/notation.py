@@ -20,16 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from ._scan import MAX_DEPTH, Scanner
+from ._scan import DEFAULT_FUEL, MAX_DEPTH, MAX_FUEL, Scanner
 from .errors import PredicateError, RangeError
-
-MAX_FUEL = 10**6
-"""Ceiling on the notation lab's fuel: the most predicate evaluations one
-window check, audit or descent search may ask for, and the largest bound
-``least_counterexample``, and so ``less``, accepts."""
-
-DEFAULT_FUEL = 10000
-"""The notation lab's fuel when none is given."""
 
 # The parser tries these in order, so each two-character operator precedes its prefix.
 _COMPARISONS = {

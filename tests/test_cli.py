@@ -466,16 +466,20 @@ def test_readme_python_example_runs():
 
 # --- real process -------------------------------------------------------------------
 
-def _run_process(*argv):
+def _run_python(*args):
     # The child imports the same ordlab as this process, installed or not.
     src = str(Path(ordlab.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "ordlab.cli", *argv],
+        [sys.executable, *args],
         capture_output=True,
         timeout=60,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def _run_process(*argv):
+    return _run_python("-m", "ordlab.cli", *argv)
 
 
 def test_subprocess_success_and_utf8_bytes():
@@ -502,3 +506,19 @@ def test_subprocess_byte_identical_reruns():
     second = _run_process("--max-nodes", "4", "ord", "enum")
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
+
+
+# The ordlab modules a fresh interpreter has loaded after each step: a command
+# imports only the library modules it uses, and worms never imports theories.
+@pytest.mark.parametrize("step, loaded", [
+    ("import ordlab", []),
+    ("import ordlab; assert not hasattr(ordlab, 'cli')", []),
+    ("from ordlab import cli; cli.run(['ord', 'cmp', 'w', 'e0'])", ["_scan", "cli", "errors", "ordinals"]),
+    ("from ordlab import cli; cli.run(['formula', 'slowcon'])", ["_scan", "cli", "errors", "formulas"]),
+    ("import ordlab.worms", ["_scan", "errors", "ordinals", "worms"]),
+])
+def test_import_boundary(step, loaded):
+    report = "import sys; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'ordlab'))"
+    proc = _run_python("-c", f"{step}\n{report}")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode("utf-8").splitlines()[-1] == repr(["ordlab", *(f"ordlab.{m}" for m in loaded)])

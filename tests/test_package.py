@@ -1,0 +1,44 @@
+import importlib
+
+import pytest
+
+import ordlab
+
+# The package's exports, by defining module: each is that module's object of
+# the same name, except TOP_WORM, which is worms.TOP.
+EXPORTS = {
+    "errors": ["CaptureError", "CatalogError", "OrdlabError", "ParseError", "PredicateError",
+               "RangeError", "ShapeError", "WormError"],
+    "formulas": ["TOP", "And", "ConAtom", "Defined", "Equals", "Exists", "ForAll", "Formula", "Hole",
+                 "Implies", "Leq", "Not", "Num", "Or", "TheoryRef", "Var", "Verum",
+                 "con_star_equation", "fill_hole", "free_vars", "pretty", "rosser_combination",
+                 "slowcon", "sv", "sv_star"],
+    "notation": ["AuditReport", "PredicateExpr", "Presentation", "audit", "check_ascending",
+                 "find_descending", "kreisel_presentation", "parse_predicate"],
+    "ordinals": ["EPSILON0", "EQ", "GT", "LT", "OMEGA", "ONE", "ZERO", "Ordinal", "VeblenAtom",
+                 "add", "compare", "enumerate_terms", "format_ordinal", "from_int", "in_phi_range",
+                 "is_natural", "iter_omega", "mul_nat", "next_phi_value", "omega_power",
+                 "parse_ordinal", "phi_argument", "phi_plus_iter", "successor", "term_size",
+                 "to_int", "veblen"],
+    "theories": ["EA_PLUS", "PA", "Base", "Reflect", "ReductionRule", "RuleSet", "TheoryExpr",
+                 "catalog_lookup", "default_catalog", "default_rules", "format_theory",
+                 "omega_model_dilator", "parse_theory", "pi_ordinal", "progression_stage",
+                 "reduce_to_level"],
+    "worms": ["Worm", "drop", "format_worm", "lift", "parse_worm", "theory_of_worm", "worm_compare",
+              "worm_of_ordinal", "worm_ordinal"],
+}
+
+
+def test_every_export_is_its_modules_object():
+    expected = {name: (module, name) for module, names in EXPORTS.items() for name in names}
+    expected["TOP_WORM"] = ("worms", "TOP")
+    assert sorted(ordlab.__all__) == sorted(expected)
+    for name, (module, attribute) in expected.items():
+        assert getattr(ordlab, name) is getattr(importlib.import_module(f"ordlab.{module}"), attribute)
+    assert set(ordlab.__all__) <= set(dir(ordlab))
+
+
+@pytest.mark.parametrize("name", ["nope", "_EXPORTS_", "TOP_worm"])
+def test_unknown_names_are_attribute_errors(name):
+    with pytest.raises(AttributeError, match=f"has no attribute {name!r}"):
+        getattr(ordlab, name)
