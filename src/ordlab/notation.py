@@ -12,13 +12,18 @@ scans that prefix again.
 
 Predicates are a tiny total expression language over one variable x with
 +, *, numerals, comparisons and boolean connectives, e.g. "x != 7" or
-"x*x <= 10000 or x != 50".
+"x*x <= 10000 or x != 50".  A parsed predicate carries one compiled form, a
+scanner that yields its counterexamples in a range lazily; every scan, point
+query and audit goes through it.  The scanner is compiled once per shape,
+the text with each numeral made a parameter, so "x != 7" and "x != 9" share
+one compiled factory and bind their own numerals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from functools import lru_cache
+from typing import Callable, Iterator, Optional
 
 from ._scan import DEFAULT_FUEL, MAX_DEPTH, MAX_FUEL, Scanner
 from .errors import PredicateError, RangeError
@@ -37,17 +42,19 @@ _COMPARISONS = {
 
 @dataclass(frozen=True)
 class PredicateExpr:
-    """Parsed predicate; ``source`` is the original text and ``_fn`` an
-    equivalent compiled form of the AST stored in ``tree``.  Equality, hash
-    and repr follow ``source`` and ``tree``, so two parses of one text are
-    one value."""
+    """Parsed predicate; ``source`` is the original text and ``tree`` its
+    AST.  ``_counterexamples(s, e)`` is the compiled form: it yields, in
+    increasing order and lazily, each n in range(s, e) at which the
+    predicate fails.  It is its shape's scanner, compiled once and shared,
+    bound to this predicate's numerals.  Equality, hash and repr follow
+    ``source`` and ``tree``, so two parses of one text are one value."""
 
     source: str
     tree: tuple
-    _fn: Callable[[int], bool] = field(compare=False, repr=False)
+    _counterexamples: Callable[[int, int], Iterator[int]] = field(compare=False, repr=False)
 
     def evaluate(self, n: int) -> bool:
-        return bool(self._fn(n))
+        return next(self._counterexamples(n, n + 1), None) is None
 
 
 def eval_tree(tree: tuple, n: int):
@@ -154,23 +161,37 @@ class _PredicateParser(Scanner):
         self.error("expected a numeral, 'x', or '('")
 
 
-def _compile_tree(tree: tuple) -> Callable[[int], bool]:
-    src = _tree_to_python(tree)
-    return eval(f"lambda x: {src}", {"__builtins__": {}})
+@lru_cache(maxsize=256)
+def _scanner_factory(src: str) -> Callable[..., Callable[[int, int], Iterator[int]]]:
+    """The compiled factory for one shape's source, ``lambda n0, ...:
+    lambda s, e: <generator of counterexamples>``."""
+    return eval(src, {"__builtins__": {}, "range": range})
 
 
-def _tree_to_python(tree: tuple) -> str:
+def _compile_tree(tree: tuple) -> Callable[[int, int], Iterator[int]]:
+    numerals = []
+    shape = _tree_to_python(tree, numerals)
+    params = ", ".join(f"n{i}" for i in range(len(numerals)))
+    factory = _scanner_factory(
+        f"lambda {params}: lambda s, e: (x for x in range(s, e) if not {shape})")
+    return factory(*numerals)
+
+
+def _tree_to_python(tree: tuple, numerals: list[int]) -> str:
+    """Python source for ``tree``, with each numeral written as the
+    parameter n<i> and its value appended to ``numerals``."""
     tag = tree[0]
     if tag == "bool":
         return "True" if tree[1] else "False"
     if tag == "num":
-        return str(tree[1])
+        numerals.append(tree[1])
+        return f"n{len(numerals) - 1}"
     if tag == "var":
         return "x"
     if tag == "not":
-        return f"(not {_tree_to_python(tree[1])})"
+        return f"(not {_tree_to_python(tree[1], numerals)})"
     op = {"=": "=="}.get(tag, tag)
-    return f"({_tree_to_python(tree[1])} {op} {_tree_to_python(tree[2])})"
+    return f"({_tree_to_python(tree[1], numerals)} {op} {_tree_to_python(tree[2], numerals)})"
 
 
 def parse_predicate(text: str) -> PredicateExpr:
@@ -201,13 +222,8 @@ class Presentation:
             raise RangeError(f"bound {bound} exceeds the fuel cap {MAX_FUEL}")
         s, k = self._scanned
         if k is None and s <= bound:
-            fn = self.predicate._fn
-            for n in range(s, bound + 1):
-                if not fn(n):
-                    k = s = n
-                    break
-            else:
-                s = bound + 1
+            k = next(self.predicate._counterexamples(s, bound + 1), None)
+            s = bound + 1 if k is None else k
             object.__setattr__(self, "_scanned", (s, k))
         if k is not None and k > bound:
             k = None
@@ -231,6 +247,10 @@ def kreisel_presentation(predicate: PredicateExpr | str) -> Presentation:
 
 
 def _check_fuel(fuel: int, window: int | None = None):
+    if fuel < 0:
+        raise RangeError(f"fuel {fuel} is negative")
+    if window is not None and window < 0:
+        raise RangeError(f"window {window} is negative")
     if fuel > MAX_FUEL:
         raise RangeError(f"fuel {fuel} exceeds the cap {MAX_FUEL}")
     if window is not None and window > fuel:
@@ -295,7 +315,7 @@ def audit(p: Presentation, n: int, fuel: int = DEFAULT_FUEL) -> AuditReport:
     if k is None:
         counterexamples = descents = 0
     else:
-        counterexamples = 1 + sum(1 for i in range(k + 1, n + 1) if not p.predicate.evaluate(i))
+        counterexamples = 1 + sum(1 for _ in p.predicate._counterexamples(k + 1, n + 1))
         descents = n - k
     equivalent = (descents == 0) == (counterexamples == 0)
     return AuditReport(n, counterexamples, descents, equivalent)

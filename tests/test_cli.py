@@ -227,6 +227,16 @@ def test_fuel_above_ceiling_is_a_range_error(capsys, argv):
     assert err == "error: range: fuel " + argv[1] + " exceeds the cap 1000000\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("notation", "kreisel", "x != 7", "--", "-5"), "window -5 is negative"),
+    (("notation", "audit", "x != 7", "--", "-5"), "window -5 is negative"),
+    (("--fuel", "-3", "notation", "descend", "x != 7"), "fuel -3 is negative"),
+    (("--fuel", "-1", "notation", "kreisel", "x != 7", "5"), "fuel -1 is negative"),
+])
+def test_negative_window_or_fuel_is_a_range_error(capsys, argv, message):
+    assert invoke(capsys, *argv) == (1, "", f"error: range: {message}\n")
+
+
 # Every cap in one place: inputs that crashed, hung or succeeded past a cap
 # now end in one range line, promptly.
 @pytest.mark.parametrize("argv", [

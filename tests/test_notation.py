@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -12,6 +13,7 @@ from ordlab.errors import PredicateError, RangeError
 from ordlab.notation import (
     MAX_FUEL,
     Presentation,
+    _scanner_factory,
     audit,
     check_ascending,
     eval_tree,
@@ -56,9 +58,9 @@ def test_predicate_parse_errors(text):
 def test_predicate_value_is_its_text_and_tree():
     for text in BATTERY:
         p, q = parse_predicate(text), parse_predicate(text)
-        assert p._fn is not q._fn
+        assert p._counterexamples is not q._counterexamples
         assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
-        assert "_fn" not in repr(p)
+        assert "_counterexamples" not in repr(p)
         assert kreisel_presentation(p) == kreisel_presentation(q)
     assert parse_predicate("x != 7") != parse_predicate("x != 8")
 
@@ -67,6 +69,66 @@ def test_compiled_predicate_agrees_with_ast():
     for text in BATTERY:
         p = parse_predicate(text)
         for n in range(250):
+            assert p.evaluate(n) == bool(eval_tree(p.tree, n))
+
+
+# --- the compiled scanner ---------------------------------------------------------
+
+def test_scanner_agrees_with_ast():
+    rng = random.Random(2024)
+    windows = [(0, 0), (7, 7), (10, 3), (0, 1)]
+    windows += [(s, s + rng.randint(-5, 80)) for s in (rng.randint(0, 260) for _ in range(40))]
+    for text in BATTERY:
+        p = parse_predicate(text)
+        for s, e in windows:
+            assert list(p._counterexamples(s, e)) == [
+                n for n in range(s, e) if not eval_tree(p.tree, n)], (text, s, e)
+
+
+@pytest.mark.parametrize("first, second", [
+    ("x != 7", "x != 9"),
+    ("x*x <= 10 or x != 50", "x*x <= 20 or x != 60"),
+])
+def test_one_shape_binds_its_own_numerals(first, second):
+    p, q = parse_predicate(first), parse_predicate(second)
+    assert p._counterexamples(0, 0).gi_code is q._counterexamples(0, 0).gi_code
+    for pred in (p, q, p):
+        assert list(pred._counterexamples(0, 100)) == [
+            n for n in range(100) if not eval_tree(pred.tree, n)]
+    assert list(p._counterexamples(0, 100)) != list(q._counterexamples(0, 100))
+
+
+def test_second_parse_of_a_shape_compiles_nothing():
+    parse_predicate("x + 3 != 41 and not x = 2")
+    before = _scanner_factory.cache_info()
+    p = parse_predicate("x + 5 != 12 and not x = 9")
+    after = _scanner_factory.cache_info()
+    assert after.misses == before.misses and after.hits == before.hits + 1
+    assert list(p._counterexamples(0, 20)) == [7, 9]
+
+
+def test_shape_cache_has_a_fixed_size():
+    assert _scanner_factory.cache_info().maxsize == 256
+    ops = ["<", "<=", ">", ">=", "=", "!="]
+    for combo in itertools.islice(itertools.product(ops, repeat=4), 300):
+        text = " and ".join(f"x {op} {i}" for i, op in enumerate(combo))
+        p = parse_predicate(text)
+        assert p.evaluate(2) == bool(eval_tree(p.tree, 2))
+    assert _scanner_factory.cache_info().currsize == 256
+
+
+def test_wide_numerals_and_the_depth_cap_compile():
+    nines = "9" * 4300
+    wide = [
+        (f"x*x <= {nines} or x != 3", []),
+        (f"x + {nines} != {nines}", [0]),
+        ("(" * MAX_DEPTH + nines + ")" * MAX_DEPTH + " != x + 1", []),
+        ("x" + "*x" * (MAX_DEPTH - 3) + f" + {nines} > {nines}", [0]),
+    ]
+    for text, misses in wide:
+        p = parse_predicate(text)
+        assert list(p._counterexamples(0, 5)) == misses
+        for n in range(5):
             assert p.evaluate(n) == bool(eval_tree(p.tree, n))
 
 
@@ -197,16 +259,19 @@ def test_ascending_iff_total_below_window(presentation):
 
 def _counting(text: str):
     """The presentation of ``text`` and the list of arguments its predicate
-    is evaluated at."""
+    is evaluated at.  The library consumes a scan lazily, so an argument is
+    listed once the scan has reached it."""
     calls = []
     predicate = parse_predicate(text)
-    fn = predicate._fn
+    scan = predicate._counterexamples
 
-    def counted(n):
-        calls.append(n)
-        return fn(n)
+    def counted(s, e):
+        for n in range(s, e):
+            calls.append(n)
+            if next(scan(n, n + 1), None) is not None:
+                yield n
 
-    return Presentation(replace(predicate, _fn=counted)), calls
+    return Presentation(replace(predicate, _counterexamples=counted)), calls
 
 
 @pytest.mark.parametrize("text", ["x != 700", "true"])
@@ -238,6 +303,20 @@ def test_fuel_cap():
             query()
     assert calls == []
     assert p.less(0, MAX_FUEL) and len(calls) == MAX_FUEL + 1
+
+
+def test_negative_window_or_fuel():
+    p = kreisel_presentation("x != 7")
+    for call, message in [
+        (lambda: check_ascending(p, -5), "window -5 is negative"),
+        (lambda: audit(p, -5), "window -5 is negative"),
+        (lambda: find_descending(p, -3), "fuel -3 is negative"),
+        (lambda: check_ascending(p, 5, fuel=-1), "fuel -1 is negative"),
+        (lambda: audit(p, -5, fuel=-1), "fuel -1 is negative"),
+    ]:
+        with pytest.raises(RangeError, match=f"^{message}$"):
+            call()
+    assert check_ascending(p, 0, fuel=0) and find_descending(p, 0) is None
 
 
 # --- the scanned prefix -------------------------------------------------------------
