@@ -52,15 +52,16 @@ def within_depth(n: int, what: str) -> int:
 
 
 class Scanner:
-    """A position in ``text``.  Syntax errors are raised as ``error_type``
-    with the position; a numeral too long, or nesting deeper than
-    MAX_DEPTH, is a RangeError."""
+    """A position in ``text``.  Syntax errors are raised as the class's
+    ``error_type`` with the position; a numeral too long, or nesting deeper
+    than MAX_DEPTH, is a RangeError."""
 
-    def __init__(self, text: str, error_type: type[OrdlabError] = ParseError):
+    error_type: type[OrdlabError] = ParseError
+
+    def __init__(self, text: str):
         self.text = text
         self.pos = 0
         self.depth = 0
-        self.error_type = error_type
 
     def error(self, message: str, position: int | None = None) -> NoReturn:
         raise self.error_type(message, self.pos if position is None else position)

@@ -211,9 +211,7 @@ def _check_template_input(f: Formula, construction: str):
 
 
 def _isigma(added: Formula) -> TheoryRef:
-    if isinstance(added, Verum):
-        return TheoryRef("ISigma", index=Var(_TEMPLATE_VAR))
-    return TheoryRef("ISigma", index=Var(_TEMPLATE_VAR), added=added)
+    return TheoryRef("ISigma", Var(_TEMPLATE_VAR), None if isinstance(added, Verum) else added)
 
 
 def slowcon(phi: Formula) -> Formula:
@@ -271,12 +269,14 @@ def con_star_equation(alpha_name: str, theory_name: str, ascii_mode: bool = Fals
 # ---------------------------------------------------------------------------
 # Rendering
 #
-# Precedence: not > and > or > implies; quantifier scope is maximal (the body
-# is always delimited).  Same-connective chains print without parentheses in
-# their conventional association (and/or left, implies right); any other
-# binary child is parenthesized.
+# A binary operand -- of a connective, of ¬, or added to a theory -- is
+# parenthesized unless it continues a same-connective chain on that
+# connective's conventional side: ∧ and ∨ chain to the left, → to the right.
+# Precedence never drops parentheses: a ∨ (b ∧ c).  A quantifier's body is
+# always delimited.
 
-_PREC = {Implies: 1, Or: 2, And: 3}
+_CONNECTIVES = {And: "∧", Or: "∨", Implies: "→"}
+_RELATIONS = {Equals: "=", Leq: "≤"}
 
 _SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 
@@ -288,15 +288,16 @@ _ASCII = str.maketrans({
     "∀": "forall ", "∃": "exists ", **dict(zip("⁰¹²³⁴⁵⁶⁷⁸⁹", "0123456789")),
 })
 
-# ASCII mode also writes a power as "^n" and spaces a binder from its body:
-# "Con²" becomes "Con^2" and "∀x(" becomes "forall x (".
+# ASCII mode also writes a power as "^n", spaces a binder from its body, and
+# escapes what the table leaves non-ASCII: "Con²" becomes "Con^2", "∀x'("
+# becomes "forall x' (" and "ω" becomes "\u03c9".
 _ASCII_POWER = re.compile("[⁰¹²³⁴⁵⁶⁷⁸⁹]+")
-_ASCII_BINDER = re.compile(r"([∀∃]\w+)\(")
+_ASCII_BINDER = re.compile(r"([∀∃][^\s(]+)\(")
 
 
 def _transliterate(text: str) -> str:
     text = _ASCII_BINDER.sub(r"\1 (", _ASCII_POWER.sub(r"^\g<0>", text))
-    return text.translate(_ASCII)
+    return text.translate(_ASCII).encode("ascii", "backslashreplace").decode("ascii")
 
 
 def _term_text(t: Term) -> str:
@@ -314,41 +315,29 @@ def _render(f: Formula) -> str:
         return "⊤"
     if isinstance(f, Hole):
         return f.name
-    if isinstance(f, Equals):
-        return f"{_term_text(f.left)} = {_term_text(f.right)}"
-    if isinstance(f, Leq):
-        return f"{_term_text(f.left)} ≤ {_term_text(f.right)}"
+    if isinstance(f, (Equals, Leq)):
+        return f"{_term_text(f.left)} {_RELATIONS[type(f)]} {_term_text(f.right)}"
     if isinstance(f, Defined):
         return f"{f.function}({_term_text(f.argument)})↓"
     if isinstance(f, ConAtom):
         head = "Con" if f.power == 1 else "Con" + str(f.power).translate(_SUPERSCRIPTS)
         return f"{head}({_theory_text(f.theory)})"
     if isinstance(f, Not):
-        body = _render(f.body)
-        if type(f.body) in _PREC:
-            body = f"({body})"
-        return "¬" + body
+        return "¬" + _operand(f.body)
     if isinstance(f, (And, Or, Implies)):
-        op = {And: "∧", Or: "∨", Implies: "→"}[type(f)]
-        left = _child(f.left, f, right_side=False)
-        right = _child(f.right, f, right_side=True)
-        return f"{left} {op} {right}"
+        op = type(f)
+        left = _operand(f.left, bare=op is not Implies and type(f.left) is op)
+        right = _operand(f.right, bare=op is Implies and type(f.right) is op)
+        return f"{left} {_CONNECTIVES[op]} {right}"
     if isinstance(f, (ForAll, Exists)):
         quant = "∀" if isinstance(f, ForAll) else "∃"
         return f"{quant}{f.var}({_render(f.body)})"
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _child(child: Formula, parent: Formula, right_side: bool) -> str:
-    text = _render(child)
-    if type(child) not in _PREC:
-        return text
-    if type(child) is type(parent):
-        keep_flat = (isinstance(parent, Implies) and right_side) or (
-            isinstance(parent, (And, Or)) and not right_side
-        )
-        return text if keep_flat else f"({text})"
-    return f"({text})"
+def _operand(f: Formula, bare: bool = False) -> str:
+    text = _render(f)
+    return f"({text})" if type(f) in _CONNECTIVES and not bare else text
 
 
 def _theory_text(ref: TheoryRef) -> str:
@@ -356,8 +345,5 @@ def _theory_text(ref: TheoryRef) -> str:
     if ref.index is not None:
         text += f"_{_term_text(ref.index)}"
     if ref.added is not None:
-        added = _render(ref.added)
-        if type(ref.added) in _PREC:
-            added = f"({added})"
-        text += f" + {added}"
+        text += f" + {_operand(ref.added)}"
     return text

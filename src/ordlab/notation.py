@@ -85,6 +85,8 @@ class _PredicateParser(Scanner):
     nests one pair of parentheses per tree level, and CPython's compiler
     refuses more than 200."""
 
+    error_type = PredicateError
+
     def node(self, tag: str, *children: tuple) -> tuple:
         depth = 1 + max(d for _, d in children)
         if depth > MAX_DEPTH:
@@ -195,7 +197,7 @@ def _tree_to_python(tree: tuple, numerals: list[int]) -> str:
 
 
 def parse_predicate(text: str) -> PredicateExpr:
-    parser = _PredicateParser(text, PredicateError)
+    parser = _PredicateParser(text)
     tree, _ = parser.or_expr()
     parser.end()
     return PredicateExpr(text.strip(), tree, _compile_tree(tree))

@@ -83,6 +83,9 @@ def test_formula_modes(capsys):
     assert code == 0 and out == "forall x (F_e0(x)| -> Con(ISigma_x))\n"
     code, out, _ = invoke(capsys, "formula", "constar", "a", "PA")
     assert code == 0 and out == "PA ⊢ Con★(a,PA) ↔ ∀β ≺ a Con(PA+⌜Con★(β,PA)⌝)\n"
+    # A character without an ASCII name is escaped, so --ascii output is ASCII.
+    code, out, _ = invoke(capsys, "--ascii", "formula", "constar", "ω", "T")
+    assert code == 0 and out == "PA |- Con*(\\u03c9,T) <-> forall beta < \\u03c9 Con(T+[Con*(beta,T)])\n"
 
 
 def test_enum_respects_max_nodes(capsys):

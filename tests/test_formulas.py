@@ -172,16 +172,29 @@ def test_power_rendering():
 def test_equation_renders_and_str_is_pretty():
     equation = Equals(Var("y"), Num(3))
     assert pretty(equation) == pretty(equation, ascii_mode=True) == "y = 3"
+    for not_a_formula in (Var("y"), And(PHI, Var("y"))):
+        with pytest.raises(TypeError, match="not a formula"):
+            pretty(not_a_formula)
     template = slowcon(PHI)
     assert str(template) == pretty(template)
 
 
 def test_ascii_mode_is_ascii():
-    # Every name is transliterated, not only hole names.
+    # Every name is transliterated, not only hole names, and a character
+    # without an ASCII name is escaped.
     f = ForAll("α", Implies(Leq(Var("α"), Var("β")), Hole("φ")))
     assert pretty(f) == "∀α(α ≤ β → φ)"
     assert pretty(f, ascii_mode=True) == "forall alpha (alpha <= beta -> phi)"
     assert pretty(Exists("ξ", Defined("F_e0", Var("ξ"))), ascii_mode=True) == "exists xi (F_e0(xi)|)"
+    assert pretty(ForAll("x₁", Hole("χ")), ascii_mode=True) == "forall x\\u2081 (\\u03c7)"
+    rng = random.Random(14)
+    for _ in range(300):
+        assert pretty(_named_formula(rng, 4), ascii_mode=True).isascii()
+    # A binder is spaced from its body whatever its variable's name; the
+    # bounded quantifier of the Con★ equation has no body in parentheses.
+    assert pretty(ForAll("x", PHI), ascii_mode=True) == "forall x (phi)"
+    assert pretty(ForAll("x'", PHI), ascii_mode=True) == "forall x' (phi)"
+    assert "forall beta < alpha Con(T+" in con_star_equation("α", "T", ascii_mode=True)
 
 
 def test_determinism():
@@ -206,6 +219,29 @@ def _random_formula(rng, depth):
     return kind(_random_formula(rng, depth - 1), _random_formula(rng, depth - 1))
 
 
+NAMES = ("φ", "χ", "x₁", "ω", "α", "x'", "y")
+
+
+def _named_formula(rng, depth):
+    """A formula of every node type, its names drawn from NAMES."""
+    def term():
+        return Var(rng.choice(NAMES)) if rng.random() < 0.5 else Num(rng.randint(0, 20))
+    if depth == 0 or rng.random() < 0.3:
+        hole = Hole(rng.choice(NAMES))
+        added = rng.choice([None, hole, Or(hole, Leq(term(), term()))])
+        return rng.choice([
+            hole, TOP, Equals(term(), term()), Leq(term(), term()),
+            Defined("F_" + rng.choice(NAMES), term()),
+            ConAtom(TheoryRef(rng.choice(NAMES), term(), added), rng.randint(1, 12)),
+        ])
+    kind = rng.choice([And, Or, Implies, Not, ForAll, Exists])
+    if kind is Not:
+        return Not(_named_formula(rng, depth - 1))
+    if kind in (ForAll, Exists):
+        return kind(rng.choice(NAMES), _named_formula(rng, depth - 1))
+    return kind(_named_formula(rng, depth - 1), _named_formula(rng, depth - 1))
+
+
 def test_substitution_commutes_with_construction():
     rng = random.Random(7)
     fills = [Equals(Var("y"), Num(3)), ConAtom(TheoryRef("PA")), TOP]
@@ -228,6 +264,10 @@ def test_capture_is_rejected():
         sv_star(PHI, open_x)
     with pytest.raises(CaptureError):
         fill_hole(slowcon(PHI), "φ", open_x)
+    with pytest.raises(TypeError, match="not a formula"):
+        free_vars(Var("x"))
+    with pytest.raises(TypeError, match="not a formula"):
+        fill_hole(Var("x"), "φ", TOP)
 
 
 def test_fresh_binder_with_respect_to_inputs():

@@ -29,6 +29,7 @@ from ordlab.ordinals import (
     iter_omega,
     mul_nat,
     next_phi_value,
+    omega_power,
     parse_ordinal,
     phi_plus_iter,
     single_atom,
@@ -178,9 +179,11 @@ def test_veblen_base_cases():
     assert format_ordinal(veblen(1, 0)) == "e0"
 
 
-def test_iter_omega():
+def test_iter_omega(pool4):
     x = parse_ordinal("w+3")
     assert iter_omega(0, x) == x
+    for b in pool4:
+        assert omega_power(b) == veblen(0, b) == iter_omega(1, b)
     assert iter_omega(2, ONE) == parse_ordinal("w^w")
     assert iter_omega(1, EPSILON0) == EPSILON0
 

@@ -353,6 +353,8 @@ def test_rule_file_rejects_bad_lines():
     # A line naming a shape before '=>' names no transform.
     with pytest.raises(CatalogError, match="unknown transform"):
         parse_rules("rule old: (rfn n a (rfn n b t)) => concatenation cite y")
+    with pytest.raises(CatalogError, match="missing ':' after the rule name"):
+        parse_rules("rule broken concatenation cite x")
     with pytest.raises(CatalogError, match="line 2: a second concatenation rule"):
         parse_rules("rule one: concatenation cite x\nrule two: concatenation cite y")
 
@@ -403,6 +405,8 @@ def test_parse_theory(text, expected):
 def test_theory_format_round_trip():
     for text in ("EA+", "PA", "(con w EA+)", "(rfn 2 1 (con 3 PA))", "(rfn 3 e0+1 EA+)"):
         assert format_theory(parse_theory(text)) == text
+    assert repr(PA) == "Base('PA')"
+    assert repr(parse_theory("(rfn 2 w EA+)")) == "Reflect(2, Ordinal('w'), Base('EA+'))"
 
 
 @pytest.mark.parametrize("text", [

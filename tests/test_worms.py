@@ -176,6 +176,7 @@ def test_worm_text_round_trip():
         assert parse_worm(format_worm(w)) == w
     assert format_worm(TOP) == "T"
     assert parse_worm("2 0 1") == Worm((2, 0, 1))
+    assert repr(Worm((2, 0, 1))) == "Worm('2 0 1')" and repr(TOP) == "Worm('T')"
     with pytest.raises(ParseError):
         parse_worm("2 x 1")
     with pytest.raises(ParseError):
