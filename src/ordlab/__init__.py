@@ -9,6 +9,7 @@ Importing the package loads none of its modules: each export is imported
 from its defining module the first time it is looked up (PEP 562).
 """
 
+import functools as _functools
 import sys as _sys
 
 __version__ = "0.1.0"
@@ -50,6 +51,15 @@ _EXPORTS["TOP_WORM"] = ("worms", "TOP")  # the bare TOP is the formula verum
 __all__ = list(_EXPORTS)
 
 
+@_functools.cache
+def _module(name: str):
+    """The submodule ``ordlab.<name>``, imported the first time it is asked
+    for: the package and the CLI load a module only when something uses it."""
+    qualified = f"{__name__}.{name}"
+    __import__(qualified)  # unlike importlib.import_module, -X importtime reports it
+    return _sys.modules[qualified]
+
+
 def __getattr__(name: str):
     """An export, imported from its module on first use and kept here, so
     later lookups find it directly.  Any other name, a submodule's included,
@@ -59,9 +69,7 @@ def __getattr__(name: str):
         module, attribute = _EXPORTS[name]
     except KeyError:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    qualified = f"{__name__}.{module}"
-    __import__(qualified)  # unlike importlib.import_module, -X importtime reports it
-    value = globals()[name] = getattr(_sys.modules[qualified], attribute)
+    value = globals()[name] = getattr(_module(module), attribute)
     return value
 
 

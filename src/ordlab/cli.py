@@ -11,44 +11,37 @@ import argparse
 import functools
 import sys
 
+from . import _module
 from ._scan import DEFAULT_FUEL
 from .errors import OrdlabError
 
 _CMP_NAMES = {-1: "LT", 0: "EQ", 1: "GT"}
 
+# Each group: its help text and the library module its commands call.
 _GROUPS = {
-    "ord": "ordinal arithmetic in Veblen normal form",
-    "worm": "GLP worms and their ordinals",
-    "theory": "iterated-reflection theory algebra",
-    "dilator": "omega-model reflection dilator",
-    "notation": "pathological presentations of omega",
-    "formula": "explicit formula constructions",
+    "ord": ("ordinal arithmetic in Veblen normal form", "ordinals"),
+    "worm": ("GLP worms and their ordinals", "worms"),
+    "theory": ("iterated-reflection theory algebra", "theories"),
+    "dilator": ("omega-model reflection dilator", "theories"),
+    "notation": ("pathological presentations of omega", "notation"),
+    "formula": ("explicit formula constructions", "formulas"),
 }
 
 
-@functools.cache
-def _lib(module: str):
-    """The library module ``ordlab.<module>``, imported when a command first
-    needs it: a command loads only the modules it uses."""
-    qualified = f"{__package__}.{module}"
-    __import__(qualified)  # unlike importlib.import_module, -X importtime reports it
-    return sys.modules[qualified]
-
-
-# Readers: each turns an argument's text into a value once parsing is done.
-# They and the table's calls reach library functions only through _lib: this
-# module itself imports just the limits and the error types.
+# Readers: each turns an argument's text into a value.  They and run() are
+# the only places that load a library module: this module itself imports
+# just the limits and the error types.
 
 def _ordinal(text: str):
-    return _lib("ordinals").parse_ordinal(text)
+    return _module("ordinals").parse_ordinal(text)
 
 
 def _worm(text: str):
-    return _lib("worms").parse_worm(text)
+    return _module("worms").parse_worm(text)
 
 
 def _theory(text: str):
-    theories = _lib("theories")
+    theories = _module("theories")
     catalog = theories.default_catalog()
     if text in catalog:
         return catalog[text]
@@ -56,104 +49,97 @@ def _theory(text: str):
 
 
 def _presentation(text: str):
-    return _lib("notation").kreisel_presentation(text)
+    return _module("notation").kreisel_presentation(text)
 
 
-def _catalog(name: str | None):
-    theories = _lib("theories")
-    if name is not None:
-        return theories.catalog_lookup(name)
-    return "\n".join(f"{name} = {expr}" for name, expr in theories.default_catalog().items())
+def _catalog(m, ns):
+    if ns.name is not None:
+        return m.catalog_lookup(ns.name)
+    return "\n".join(f"{name} = {expr}" for name, expr in m.default_catalog().items())
 
 
-def _kreisel(p, window: int, fuel: int) -> str:
-    ascending = _lib("notation").check_ascending(p, window, fuel=fuel)
-    return f"predicate: {p.predicate.source}\nwindow: {window}\nascending: {'yes' if ascending else 'no'}"
+def _kreisel(m, ns) -> str:
+    p = _presentation(ns.predicate)
+    ascending = "yes" if m.check_ascending(p, ns.window, fuel=ns.fuel) else "no"
+    return f"predicate: {p.predicate.source}\nwindow: {ns.window}\nascending: {ascending}"
 
 
-def _descend(p, fuel: int) -> str:
-    chain = _lib("notation").find_descending(p, fuel)
+def _descend(m, ns) -> str:
+    chain = m.find_descending(_presentation(ns.predicate), ns.fuel)
     return "none" if chain is None else " ".join(map(str, chain))
 
 
 def _formula(make):
-    """A formula command's call: the formula ``make(f, ns)``, built from the
-    formulas module ``f``, rendered in the output mode --ascii selects."""
-    def call(ns):
-        f = _lib("formulas")
-        return f.pretty(make(f, ns), ascii_mode=ns.ascii)
-    return call
+    """A formula command's call: the formula ``make(m, ns)``, built from the
+    formulas module ``m``, rendered in the output mode --ascii selects."""
+    return lambda m, ns: m.pretty(make(m, ns), ascii_mode=ns.ascii)
 
 
-def _arg(name: str, read=None, **options):
-    """A command argument: its argparse options, and the reader its text goes
-    through once parsing is done (None: the value argparse gives, as is)."""
-    return name, read, options
+def _arg(name: str, **options):
+    """A command argument: its name and its argparse options."""
+    return name, options
 
 
 _TOP = _arg("--top", action="store_true", help="instantiate at verum")
 
 # The command table: one row per command, giving its group, name, help,
-# arguments and the call that makes the value to print from the parsed
-# namespace ``ns``.
+# arguments and the call that makes the value to print.  A call gets its
+# group's module ``m`` and the parsed namespace ``ns``, and reads its
+# arguments' texts left to right before any other library work, so the
+# first bad argument is the one reported.
 _COMMANDS = [
-    ("ord", "cmp", "compare two ordinals",
-     [_arg("x", _ordinal), _arg("y", _ordinal)],
-     lambda ns: _CMP_NAMES[_lib("ordinals").compare(ns.x, ns.y)]),
-    ("ord", "add", "ordinal sum",
-     [_arg("x", _ordinal), _arg("y", _ordinal)], lambda ns: _lib("ordinals").add(ns.x, ns.y)),
-    ("ord", "mul", "multiply an ordinal by a natural",
-     [_arg("x", _ordinal), _arg("n", type=int)], lambda ns: _lib("ordinals").mul_nat(ns.x, ns.n)),
-    ("ord", "normalize", "parse and reprint in canonical form",
-     [_arg("x", _ordinal)], lambda ns: ns.x),
-    ("ord", "phi", "evaluate the Veblen function phi_a(b)",
-     [_arg("a", _ordinal), _arg("b", _ordinal)], lambda ns: _lib("ordinals").veblen(ns.a, ns.b)),
-    ("ord", "next-phi", "least phi_a value strictly above b",
-     [_arg("a", _ordinal), _arg("b", _ordinal)], lambda ns: _lib("ordinals").next_phi_value(ns.a, ns.b)),
-    ("ord", "enum", "list all canonical terms up to --max-nodes",
-     [], lambda ns: "\n".join(map(str, _lib("ordinals").enumerate_terms(ns.max_nodes)))),
-    ("worm", "o", "ordinal of a worm",
-     [_arg("w", _worm)], lambda ns: _lib("worms").worm_ordinal(ns.w)),
-    ("worm", "cmp", "compare two worms",
-     [_arg("u", _worm), _arg("v", _worm)],
-     lambda ns: _CMP_NAMES[_lib("worms").worm_compare(ns.u, ns.v)]),
-    ("worm", "of-ordinal", "canonical worm for an ordinal below e0",
-     [_arg("x", _ordinal)], lambda ns: _lib("worms").worm_of_ordinal(ns.x)),
-    ("worm", "to-theory", "reflection expression of a worm",
-     [_arg("w", _worm)], lambda ns: _lib("worms").theory_of_worm(ns.w)),
+    ("ord", "cmp", "compare two ordinals", [_arg("x"), _arg("y")],
+     lambda m, ns: _CMP_NAMES[m.compare(_ordinal(ns.x), _ordinal(ns.y))]),
+    ("ord", "add", "ordinal sum", [_arg("x"), _arg("y")],
+     lambda m, ns: m.add(_ordinal(ns.x), _ordinal(ns.y))),
+    ("ord", "mul", "multiply an ordinal by a natural", [_arg("x"), _arg("n", type=int)],
+     lambda m, ns: m.mul_nat(_ordinal(ns.x), ns.n)),
+    ("ord", "normalize", "parse and reprint in canonical form", [_arg("x")],
+     lambda m, ns: _ordinal(ns.x)),
+    ("ord", "phi", "evaluate the Veblen function phi_a(b)", [_arg("a"), _arg("b")],
+     lambda m, ns: m.veblen(_ordinal(ns.a), _ordinal(ns.b))),
+    ("ord", "next-phi", "least phi_a value strictly above b", [_arg("a"), _arg("b")],
+     lambda m, ns: m.next_phi_value(_ordinal(ns.a), _ordinal(ns.b))),
+    ("ord", "enum", "list all canonical terms up to --max-nodes", [],
+     lambda m, ns: "\n".join(map(str, m.enumerate_terms(ns.max_nodes)))),
+    ("worm", "o", "ordinal of a worm", [_arg("w")],
+     lambda m, ns: m.worm_ordinal(_worm(ns.w))),
+    ("worm", "cmp", "compare two worms", [_arg("u"), _arg("v")],
+     lambda m, ns: _CMP_NAMES[m.worm_compare(_worm(ns.u), _worm(ns.v))]),
+    ("worm", "of-ordinal", "canonical worm for an ordinal below e0", [_arg("x")],
+     lambda m, ns: m.worm_of_ordinal(_ordinal(ns.x))),
+    ("worm", "to-theory", "reflection expression of a worm", [_arg("w")],
+     lambda m, ns: m.theory_of_worm(_worm(ns.w))),
     ("theory", "pi-ordinal", "Pi_k proof-theoretic ordinal",
-     [_arg("theory", _theory), _arg("level", type=int)],
-     lambda ns: _lib("theories").pi_ordinal(ns.theory, ns.level)),
+     [_arg("theory"), _arg("level", type=int)],
+     lambda m, ns: m.pi_ordinal(_theory(ns.theory), ns.level)),
     ("theory", "reduce", "reduce to a single reflection level",
-     [_arg("theory", _theory), _arg("level", type=int)],
-     lambda ns: _lib("theories").reduce_to_level(ns.theory, ns.level)),
-    ("theory", "stage", "consistency-progression stage",
-     [_arg("theory", _theory), _arg("alpha", _ordinal)],
-     lambda ns: _lib("theories").progression_stage(ns.theory, ns.alpha)),
+     [_arg("theory"), _arg("level", type=int)],
+     lambda m, ns: m.reduce_to_level(_theory(ns.theory), ns.level)),
+    ("theory", "stage", "consistency-progression stage", [_arg("theory"), _arg("alpha")],
+     lambda m, ns: m.progression_stage(_theory(ns.theory), _ordinal(ns.alpha))),
     ("theory", "catalog", "look up a named theory (or list all)",
-     [_arg("name", nargs="?")], lambda ns: _catalog(ns.name)),
-    ("dilator", "eval", "evaluate the dilator at (alpha, beta)",
-     [_arg("alpha", _ordinal), _arg("beta", _ordinal)],
-     lambda ns: _lib("theories").omega_model_dilator(ns.alpha, ns.beta)),
+     [_arg("name", nargs="?")], _catalog),
+    ("dilator", "eval", "evaluate the dilator at (alpha, beta)", [_arg("alpha"), _arg("beta")],
+     lambda m, ns: m.omega_model_dilator(_ordinal(ns.alpha), _ordinal(ns.beta))),
     ("notation", "kreisel", "build a presentation and check a window",
-     [_arg("predicate", _presentation), _arg("window", type=int)],
-     lambda ns: _kreisel(ns.predicate, ns.window, ns.fuel)),
+     [_arg("predicate"), _arg("window", type=int)], _kreisel),
     ("notation", "audit", "counterexample/descent report for a window",
-     [_arg("predicate", _presentation), _arg("window", type=int)],
-     lambda ns: _lib("notation").audit(ns.predicate, ns.window, fuel=ns.fuel)),
+     [_arg("predicate"), _arg("window", type=int)],
+     lambda m, ns: m.audit(_presentation(ns.predicate), ns.window, fuel=ns.fuel)),
     ("notation", "descend", "descending chain within --fuel, if any",
-     [_arg("predicate", _presentation)], lambda ns: _descend(ns.predicate, ns.fuel)),
+     [_arg("predicate")], _descend),
     ("formula", "slowcon", "slow consistency statement",
-     [_TOP], _formula(lambda f, ns: f.slowcon(f.TOP if ns.top else f.Hole("φ")))),
+     [_TOP], _formula(lambda m, ns: m.slowcon(m.TOP if ns.top else m.Hole("φ")))),
     ("formula", "sv", "Shavrukov-Visser operator",
-     [_TOP], _formula(lambda f, ns: f.sv(f.TOP if ns.top else f.Hole("φ")))),
+     [_TOP], _formula(lambda m, ns: m.sv(m.TOP if ns.top else m.Hole("φ")))),
     ("formula", "svstar", "Shavrukov-Visser density function",
-     [], _formula(lambda f, ns: f.sv_star(f.Hole("φ"), f.Hole("ψ")))),
+     [], _formula(lambda m, ns: m.sv_star(m.Hole("φ"), m.Hole("ψ")))),
     ("formula", "rosser", "Rosser-style interpolant shape",
-     [], _formula(lambda f, ns: f.rosser_combination(f.Hole("φ"), f.Hole("ψ"), f.Hole("θ")))),
+     [], _formula(lambda m, ns: m.rosser_combination(m.Hole("φ"), m.Hole("ψ"), m.Hole("θ")))),
     ("formula", "constar", "iterated-consistency fixed-point equation",
      [_arg("alpha", nargs="?", default="α"), _arg("theory", nargs="?", default="T")],
-     lambda ns: _lib("formulas").con_star_equation(ns.alpha, ns.theory, ascii_mode=ns.ascii)),
+     lambda m, ns: m.con_star_equation(ns.alpha, ns.theory, ascii_mode=ns.ascii)),
 ]
 
 
@@ -174,13 +160,14 @@ def build_parser() -> argparse.ArgumentParser:
     groups = parser.add_subparsers(dest="group", required=True, metavar="GROUP")
     commands = {}
     for group, name, help_text, arguments, call in _COMMANDS:
+        group_help, module = _GROUPS[group]
         if group not in commands:
-            commands[group] = groups.add_parser(group, help=_GROUPS[group]).add_subparsers(
+            commands[group] = groups.add_parser(group, help=group_help).add_subparsers(
                 dest="command", required=True, metavar="CMD")
         p = commands[group].add_parser(name, help=help_text)
-        for arg_name, _, options in arguments:
+        for arg_name, options in arguments:
             p.add_argument(arg_name, **options)
-        p.set_defaults(arguments=arguments, call=call)
+        p.set_defaults(module=module, call=call)
     return parser
 
 
@@ -191,10 +178,7 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        for name, read, _ in ns.arguments:
-            if read:
-                setattr(ns, name, read(getattr(ns, name)))
-        value = ns.call(ns)
+        value = ns.call(_module(ns.module), ns)
     except OrdlabError as exc:
         print(f"error: {exc.code}: {exc}", file=sys.stderr)
         return 1

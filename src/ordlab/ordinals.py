@@ -4,9 +4,14 @@ A term is a finite non-increasing sum of atoms phi(a, b), each denoting the
 value of the a-th Veblen function at b (phi_0(b) = w^b, phi_{a+1} enumerates
 the fixed points of phi_a).  Equal adjacent atoms are stored run-length
 encoded as (atom, count) pairs, so the natural number n is the single pair
-(phi(0,0), n).  Every constructor normalizes eagerly; the canonical-form
-invariant makes structural equality coincide with ordinal equality, so ``==``
-and ``hash`` on terms are meaningful.
+(phi(0,0), n).  The module's functions and its parser build canonical terms
+only, and on canonical terms structural equality coincides with ordinal
+equality, so ``==`` and ``hash`` are meaningful there.  The ``Ordinal`` and
+``VeblenAtom`` constructors themselves check nothing: a term built by hand
+can be non-canonical, and then ``==`` can disagree with ``compare``
+(``Ordinal(((VeblenAtom(ZERO, EPSILON0), 1),))`` prints ``w^e0`` and compares
+EQ to ``EPSILON0``, yet ``==`` says they differ).  ROADMAP item 2 plans one
+checked constructor.
 
 Canonicity of an atom phi(a, b) requires that b is not itself a single atom
 phi(c, d) with c > a: such a b is a fixed point of phi_a and the atom would

@@ -48,6 +48,7 @@ def invoke(capsys, *argv):
     (("theory", "catalog", "PA+Con(PA)"), "(con 1 PA)"),
     (("dilator", "eval", "0", "0"), "e0"),
     (("notation", "descend", "x != 7"), None),  # checked separately
+    (("ord", "cmp", "w", "e0"), "LT"),
 ])
 def test_success_outputs(capsys, argv, expected):
     code, out, err = invoke(capsys, *argv)
@@ -81,6 +82,10 @@ def test_formula_modes(capsys):
     assert code == 0 and out == "forall x (F_e0(x)| -> Con(ISigma_x + phi))\n"
     code, out, _ = invoke(capsys, "--ascii", "formula", "slowcon", "--top")
     assert code == 0 and out == "forall x (F_e0(x)| -> Con(ISigma_x))\n"
+    code, out, _ = invoke(capsys, "--ascii", "formula", "svstar")
+    assert code == 0 and out == ("phi or (not phi and psi and forall x (Con(ISigma_x + "
+                                 "(not phi and psi)) -> Con^2(ISigma_x + (not phi and psi))) "
+                                 "and psi)\n")
     code, out, _ = invoke(capsys, "formula", "constar", "a", "PA")
     assert code == 0 and out == "PA ⊢ Con★(a,PA) ↔ ∀β ≺ a Con(PA+⌜Con★(β,PA)⌝)\n"
     # A character without an ASCII name is escaped, so --ascii output is ASCII.
@@ -169,6 +174,11 @@ def test_domain_error_exit_1_and_empty_stdout(capsys):
     (("notation", "audit", "x = 1 x", "10"), "error: predicate: trailing input at position 6"),
     (("ord", "mul", "w", "-1"), "error: range: multiplier must be a natural number"),
     (("--max-nodes", "-1", "ord", "enum"), "error: range: max_nodes must be a natural number"),
+    # With two bad arguments, the first is the one reported.
+    (("ord", "add", "(", "w^^"), "error: parse: expected an ordinal term at position 1"),
+    (("theory", "stage", "ZFC", "0"), "error: parse: unknown theory name 'ZFC' at position 0"),
+    (("notation", "kreisel", "x !=", "-1"),
+     "error: predicate: expected a numeral, 'x', or '(' at position 4"),
 ])
 def test_error_lines(capsys, argv, line):
     code, out, err = invoke(capsys, *argv)
@@ -495,7 +505,14 @@ def _run_process(*argv):
     return _run_python("-m", "ordlab.cli", *argv)
 
 
+# Among them the four commands of the benchmark's cold-start probe.
 def test_subprocess_success_and_utf8_bytes():
+    proc = _run_process("ord", "cmp", "w^w+1", "e0")
+    assert proc.returncode == 0
+    assert proc.stdout == b"LT\n"
+    proc = _run_process("worm", "o", "1 0 1")
+    assert proc.returncode == 0
+    assert proc.stdout == b"w*2\n"
     proc = _run_process("theory", "pi-ordinal", "PA+Con(PA)", "1")
     assert proc.returncode == 0
     assert proc.stdout == b"e0*2\n"
