@@ -13,22 +13,22 @@ Rendering supports UTF-8 and a pure-ASCII mode; both are deterministic.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional, Union
 
+from ._value import Value
 from .errors import CaptureError, RangeError
 
 # ---------------------------------------------------------------------------
 # Terms
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Value):
+    __slots__ = __match_args__ = ("name",)
     name: str
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(Value):
+    __slots__ = __match_args__ = ("value",)
     value: int
 
 
@@ -39,95 +39,100 @@ Term = Union[Var, Num]
 # Formulas
 
 
-class Formula:
+class Formula(Value):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return pretty(self)
 
 
-@dataclass(frozen=True)
 class Verum(Formula):
-    pass
+    __slots__ = __match_args__ = ()
 
 
-@dataclass(frozen=True)
 class Equals(Formula):
+    __slots__ = __match_args__ = ("left", "right")
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
 class Leq(Formula):
+    __slots__ = __match_args__ = ("left", "right")
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
 class Defined(Formula):
     """function(argument) halts -- the downward-arrow atom."""
 
+    __slots__ = __match_args__ = ("function", "argument")
     function: str
     argument: Term
 
 
-@dataclass(frozen=True)
-class TheoryRef:
+class TheoryRef(Value):
     """A named theory, optionally indexed (ISigma_x) and optionally extended
     by a formula (ISigma_x + phi)."""
 
+    __slots__ = __match_args__ = ("base", "index", "added")
     base: str
-    index: Optional[Term] = None
-    added: Optional[Formula] = None
+    index: Optional[Term]
+    added: Optional[Formula]
+
+    def __init__(self, base: str, index: Optional[Term] = None, added: Optional[Formula] = None):
+        super().__init__(base, index, added)
 
 
-@dataclass(frozen=True)
 class ConAtom(Formula):
+    __slots__ = __match_args__ = ("theory", "power")
     theory: TheoryRef
-    power: int = 1
+    power: int
 
-    def __post_init__(self):
-        if self.power < 1:
+    def __init__(self, theory: TheoryRef, power: int = 1):
+        if power < 1:
             raise RangeError("consistency power must be >= 1")
+        super().__init__(theory, power)
 
 
-@dataclass(frozen=True)
 class Not(Formula):
+    __slots__ = __match_args__ = ("body",)
     body: Formula
 
 
-@dataclass(frozen=True)
 class And(Formula):
+    __slots__ = __match_args__ = ("left", "right")
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
 class Or(Formula):
+    __slots__ = __match_args__ = ("left", "right")
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
 class Implies(Formula):
+    __slots__ = __match_args__ = ("left", "right")
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
 class ForAll(Formula):
+    __slots__ = __match_args__ = ("var", "body")
     var: str
     body: Formula
 
 
-@dataclass(frozen=True)
 class Exists(Formula):
+    __slots__ = __match_args__ = ("var", "body")
     var: str
     body: Formula
 
 
-@dataclass(frozen=True)
 class Hole(Formula):
     """Schematic placeholder for a sentence."""
 
+    __slots__ = __match_args__ = ("name",)
     name: str
 
 

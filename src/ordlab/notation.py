@@ -21,11 +21,11 @@ one compiled factory and bind their own numerals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterator, Optional
 
 from ._scan import DEFAULT_FUEL, MAX_DEPTH, MAX_FUEL, Scanner
+from ._value import Value, set_field
 from .errors import PredicateError, RangeError
 
 # The parser tries these in order, so each two-character operator precedes its prefix.
@@ -40,8 +40,7 @@ _COMPARISONS = {
 }
 
 
-@dataclass(frozen=True)
-class PredicateExpr:
+class PredicateExpr(Value):
     """Parsed predicate; ``source`` is the original text and ``tree`` its
     AST.  ``_counterexamples(s, e)`` is the compiled form: it yields, in
     increasing order and lazily, each n in range(s, e) at which the
@@ -49,9 +48,27 @@ class PredicateExpr:
     bound to this predicate's numerals.  Equality, hash and repr follow
     ``source`` and ``tree``, so two parses of one text are one value."""
 
+    __slots__ = __match_args__ = ("source", "tree", "_counterexamples")
     source: str
     tree: tuple
-    _counterexamples: Callable[[int, int], Iterator[int]] = field(compare=False, repr=False)
+    _counterexamples: Callable[[int, int], Iterator[int]]
+
+    def __init__(self, source: str, tree: tuple,
+                 _counterexamples: Callable[[int, int], Iterator[int]]):
+        set_field(self, "source", source)
+        set_field(self, "tree", tree)
+        set_field(self, "_counterexamples", _counterexamples)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.source, self.tree) == (other.source, other.tree)
+
+    def __hash__(self) -> int:
+        return hash((self.source, self.tree))
+
+    def __repr__(self) -> str:
+        return f"PredicateExpr(source={self.source!r}, tree={self.tree!r})"
 
     def evaluate(self, n: int) -> bool:
         return next(self._counterexamples(n, n + 1), None) is None
@@ -203,16 +220,28 @@ def parse_predicate(text: str) -> PredicateExpr:
     return PredicateExpr(text.strip(), tree, _compile_tree(tree))
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Value):
     """A decidable strict linear order on the naturals derived from a
     predicate; see the module docstring for the three-zone definition."""
 
+    __slots__ = ("predicate", "_scanned")
+    __match_args__ = ("predicate",)
     predicate: PredicateExpr
-    # (s, k): P holds on 0..s-1, and k is the least counterexample (then
-    # s == k) or None.  Each stored pair is a true fact about a pure
-    # predicate, swapped in whole, so a presentation may be shared.
-    _scanned: tuple = field(default=(0, None), init=False, compare=False, repr=False)
+
+    def __init__(self, predicate: PredicateExpr):
+        set_field(self, "predicate", predicate)
+        # (s, k): P holds on 0..s-1, and k is the least counterexample (then
+        # s == k) or None.  Each stored pair is a true fact about a pure
+        # predicate, swapped in whole, so a presentation may be shared.
+        set_field(self, "_scanned", (0, None))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.predicate == other.predicate
+
+    def __hash__(self) -> int:
+        return hash((self.predicate,))
 
     def least_counterexample(self, bound: int) -> Optional[int]:
         """First n <= bound with not P(n), scanning upward, or None; never
@@ -226,7 +255,7 @@ class Presentation:
         if k is None and s <= bound:
             k = next(self.predicate._counterexamples(s, bound + 1), None)
             s = bound + 1 if k is None else k
-            object.__setattr__(self, "_scanned", (s, k))
+            set_field(self, "_scanned", (s, k))
         if k is not None and k > bound:
             k = None
         return k
@@ -283,8 +312,8 @@ def find_descending(p: Presentation, fuel: int) -> Optional[list[int]]:
     return list(range(k, k + length))
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(Value):
+    __slots__ = __match_args__ = ("window", "counterexamples", "descents", "equivalent")
     window: int
     counterexamples: int
     descents: int

@@ -21,10 +21,10 @@ denote b.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cmp_to_key, total_ordering
 
 from ._scan import MAX_WIDTH, NAME, Scanner
+from ._value import Value, set_field
 from .errors import RangeError
 
 LT, EQ, GT = -1, 0, 1
@@ -35,21 +35,44 @@ under CPython 3.11, size 8 (10409 terms) takes about 0.3 s, size 9 (44320)
 about 1.1 s and size 10 (192593 terms, 90 MB) about 6 s."""
 
 
-@dataclass(frozen=True)
-class VeblenAtom:
+class VeblenAtom(Value):
     """One phi(index, arg) building block of a normal form."""
 
+    __slots__ = __match_args__ = ("index", "arg")
     index: "Ordinal"
     arg: "Ordinal"
 
+    def __init__(self, index: "Ordinal", arg: "Ordinal"):
+        set_field(self, "index", index)
+        set_field(self, "arg", arg)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.index, self.arg) == (other.index, other.arg)
+
+    def __hash__(self) -> int:
+        return hash((self.index, self.arg))
+
 
 @total_ordering
-@dataclass(frozen=True)
-class Ordinal:
+class Ordinal(Value):
     """Canonical Veblen normal form: ((atom, count), ...) with atoms strictly
     decreasing and counts >= 1.  The empty tuple is zero."""
 
-    parts: tuple[tuple[VeblenAtom, int], ...] = ()
+    __slots__ = __match_args__ = ("parts",)
+    parts: tuple[tuple[VeblenAtom, int], ...]
+
+    def __init__(self, parts: tuple[tuple[VeblenAtom, int], ...] = ()):
+        set_field(self, "parts", parts)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
 
     def is_zero(self) -> bool:
         return not self.parts

@@ -18,10 +18,10 @@ mixed-level nestings are rejected rather than approximated.
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import dataclass
 from functools import lru_cache
 
 from ._scan import LETTERS, TOKEN, within_depth
+from ._value import Value, set_field
 from .errors import CatalogError, RangeError, ShapeError
 from .ordinals import (
     EPSILON0,
@@ -40,7 +40,8 @@ from .ordinals import (
 from .worms import Worm, worm_ordinal
 
 
-class TheoryExpr:
+class TheoryExpr(Value):
+    __slots__ = ()
     depth = 0
     """Reflections nested around the base theory: at most MAX_DEPTH, the
     nesting the theory grammar reads."""
@@ -49,33 +50,47 @@ class TheoryExpr:
         return format_theory(self)
 
 
-@dataclass(frozen=True)
 class Base(TheoryExpr):
+    __slots__ = __match_args__ = ("name",)
     name: str
 
-    def __post_init__(self):
-        if self.name not in ("EA+", "PA"):
-            raise ShapeError(f"unknown base theory {self.name!r}")
+    def __init__(self, name: str):
+        if name not in ("EA+", "PA"):
+            raise ShapeError(f"unknown base theory {name!r}")
+        set_field(self, "name", name)
 
     def __repr__(self) -> str:
         return f"Base({self.name!r})"
 
 
-@dataclass(frozen=True)
 class Reflect(TheoryExpr):
     """iterations-fold iteration of uniform Pi_level reflection over a theory."""
 
+    __slots__ = ("level", "iterations", "over", "depth")
+    __match_args__ = ("level", "iterations", "over")
     level: int
     iterations: Ordinal
     over: TheoryExpr
 
-    def __post_init__(self):
-        if self.level < 1:
+    def __init__(self, level: int, iterations: Ordinal, over: TheoryExpr):
+        if level < 1:
             raise ShapeError("reflection level must be >= 1")
-        within_depth(self.level, "reflection level")
-        if self.iterations.is_zero():
+        within_depth(level, "reflection level")
+        if iterations.is_zero():
             raise ShapeError("reflection iterations must be > 0")
-        object.__setattr__(self, "depth", within_depth(self.over.depth + 1, "theory nesting"))
+        set_field(self, "depth", within_depth(over.depth + 1, "theory nesting"))
+        set_field(self, "level", level)
+        set_field(self, "iterations", iterations)
+        set_field(self, "over", over)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.level, self.iterations, self.over)
+                == (other.level, other.iterations, other.over))
+
+    def __hash__(self) -> int:
+        return hash((self.level, self.iterations, self.over))
 
     def __repr__(self) -> str:
         return f"Reflect({self.level}, {self.iterations!r}, {self.over!r})"
@@ -90,8 +105,8 @@ TRANSFORMS = ("level-drop-omega-power", "concatenation", "pa-con-product", "worm
 # ---------------------------------------------------------------------------
 # Rule and catalog files
 
-@dataclass(frozen=True)
-class ReductionRule:
+class ReductionRule(Value):
+    __slots__ = __match_args__ = ("name", "ordinal_transform", "citation")
     name: str
     ordinal_transform: str
     citation: str

@@ -13,10 +13,10 @@ entries, keyed by letter tuples, which the pieces of a worm share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from ._scan import numeral_value, within_depth
+from ._value import Value, set_field
 from .errors import ParseError, RangeError, WormError
 from .ordinals import (
     EPSILON0,
@@ -32,14 +32,23 @@ MAX_WORM_LENGTH = 10**6
 """Longest worm worm_of_ordinal builds; the worm of a natural number n has n letters."""
 
 
-@dataclass(frozen=True)
-class Worm:
-    letters: tuple[int, ...] = ()
+class Worm(Value):
+    __slots__ = __match_args__ = ("letters",)
+    letters: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.letters and min(self.letters) < 0:
+    def __init__(self, letters: tuple[int, ...] = ()):
+        if letters and min(letters) < 0:
             raise WormError("worm letters must be natural numbers")
-        within_depth(max(self.letters, default=0), "worm letter")
+        within_depth(max(letters, default=0), "worm letter")
+        set_field(self, "letters", letters)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.letters == other.letters
+
+    def __hash__(self) -> int:
+        return hash((self.letters,))
 
     def is_top(self) -> bool:
         return not self.letters

@@ -540,15 +540,27 @@ def test_subprocess_byte_identical_reruns():
 
 # The ordlab modules a fresh interpreter has loaded after each step: a command
 # imports only the library modules it uses, and worms never imports theories.
+# No step loads dataclasses or inspect, whose imports would add several
+# milliseconds to every cold command.
 @pytest.mark.parametrize("step, loaded", [
     ("import ordlab", []),
     ("import ordlab; assert not hasattr(ordlab, 'cli')", []),
-    ("from ordlab import cli; cli.run(['ord', 'cmp', 'w', 'e0'])", ["_scan", "cli", "errors", "ordinals"]),
-    ("from ordlab import cli; cli.run(['formula', 'slowcon'])", ["_scan", "cli", "errors", "formulas"]),
-    ("import ordlab.worms", ["_scan", "errors", "ordinals", "worms"]),
+    ("from ordlab import cli; cli.run(['ord', 'cmp', 'w', 'e0'])",
+     ["_scan", "_value", "cli", "errors", "ordinals"]),
+    ("from ordlab import cli; cli.run(['formula', 'slowcon'])",
+     ["_scan", "_value", "cli", "errors", "formulas"]),
+    ("import ordlab.worms", ["_scan", "_value", "errors", "ordinals", "worms"]),
+    ("from ordlab import cli; cli.run(['worm', 'o', '1 0 1'])",
+     ["_scan", "_value", "cli", "errors", "ordinals", "worms"]),
+    ("from ordlab import cli; cli.run(['theory', 'pi-ordinal', 'PA+Con(PA)', '1'])",
+     ["_scan", "_value", "cli", "data", "errors", "ordinals", "theories", "worms"]),
 ])
 def test_import_boundary(step, loaded):
-    report = "import sys; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'ordlab'))"
+    report = ("import sys\n"
+              "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'ordlab'))\n"
+              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
     proc = _run_python("-c", f"{step}\n{report}")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.decode("utf-8").splitlines()[-1] == repr(["ordlab", *(f"ordlab.{m}" for m in loaded)])
+    *_, modules, machinery = proc.stdout.decode("utf-8").splitlines()
+    assert modules == repr(["ordlab", *(f"ordlab.{m}" for m in loaded)])
+    assert machinery == "[]"

@@ -2,7 +2,6 @@ import itertools
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 
 import hypothesis.strategies as st
 import pytest
@@ -12,6 +11,7 @@ from ordlab._scan import MAX_DEPTH
 from ordlab.errors import PredicateError, RangeError
 from ordlab.notation import (
     MAX_FUEL,
+    PredicateExpr,
     Presentation,
     _scanner_factory,
     audit,
@@ -271,7 +271,7 @@ def _counting(text: str):
             if next(scan(n, n + 1), None) is not None:
                 yield n
 
-    return Presentation(replace(predicate, _counterexamples=counted)), calls
+    return Presentation(PredicateExpr(predicate.source, predicate.tree, counted)), calls
 
 
 @pytest.mark.parametrize("text", ["x != 700", "true"])
