@@ -9,16 +9,16 @@ The reduction has four transforms:
   pa-con-product:  (rfn 1 a PA), or PA for a = 0  ~>  (rfn 1 e0*(1+a) EA+), a finite,
   worm route:      a worm-shaped theory (every iteration count 1) at level 1
                    ~>  (rfn 1 o(w) EA+), o(w) the ordinal of its worm w.
-The walk builds each step in exactly these shapes and asks data/rules.txt,
-which names and cites exactly one rule per transform, for its rule; a rule
-set that misses or repeats a transform is refused when it is made.  Other
-mixed-level nestings are rejected rather than approximated.
+A step, or a progression stage over a level-1 stage, asks data/rules.txt for
+its rule by transform alone; the shapes above only describe the transforms.
+Mixed-level nestings no transform reaches are rejected, not approximated.
 """
 
 from __future__ import annotations
 
 import importlib.resources
 from functools import lru_cache
+from types import MappingProxyType
 
 from ._scan import LETTERS, TOKEN, within_depth
 from ._value import Value, set_field
@@ -114,7 +114,7 @@ class ReductionRule(Value):
 
 class RuleSet:
     """Exactly one rule per transform: the rule that licenses, and cites,
-    every step of that transform the reduction takes."""
+    every step of that transform, in a reduction or a progression stage."""
 
     def __init__(self, rules: list[ReductionRule]):
         self.rules = tuple(rules)
@@ -124,9 +124,8 @@ class RuleSet:
                 raise CatalogError(f"a rule set needs exactly one {transform} rule, not {count}")
         self._by_transform = {rule.ordinal_transform: rule for rule in rules}
 
-    def authorize(self, transform: str, shape: TheoryExpr) -> ReductionRule:
-        """The rule for a step of this transform on the shape the reduction
-        built."""
+    def authorize(self, transform: str) -> ReductionRule:
+        """The rule that licenses a step of this transform."""
         return self._by_transform[transform]
 
 
@@ -176,8 +175,8 @@ def default_rules() -> RuleSet:
 
 
 @lru_cache(maxsize=None)
-def default_catalog() -> dict[str, TheoryExpr]:
-    return parse_catalog(_data_text("catalog.txt"))
+def default_catalog() -> MappingProxyType[str, TheoryExpr]:
+    return MappingProxyType(parse_catalog(_data_text("catalog.txt")))
 
 
 def catalog_lookup(name: str) -> TheoryExpr:
@@ -210,7 +209,7 @@ def reduce_to_level(t: TheoryExpr, k: int) -> TheoryExpr:
         # measured at level 1 by its worm (Beklemishev 2004).
         if k != 1 or any(iterations != ONE for _, iterations in chain):
             raise ShapeError(f"{format_theory(t)} is outside the supported shapes at level {k}")
-        default_rules().authorize("worm-route", t)
+        default_rules().authorize("worm-route")
         gamma = worm_ordinal(Worm(tuple(level - 1 for level, _ in chain)))
     if gamma.is_zero():
         return EA_PLUS
@@ -223,16 +222,15 @@ def _reduce_ea(chain: list[tuple[int, Ordinal]], k: int) -> Ordinal | None:
     steps = list(zip(chain, [k] + [level for level, _ in chain]))
     if any(level < need for (level, _), need in steps):
         return None
-    rules = default_rules()
     gamma = ZERO
     for (level, iterations), need in reversed(steps):
         if gamma.is_zero():
             gamma = iterations
         else:
-            rules.authorize("concatenation", Reflect(level, iterations, Reflect(level, gamma, EA_PLUS)))
+            default_rules().authorize("concatenation")
             gamma = add(gamma, iterations)
-        for drop in range(level, need, -1):
-            rules.authorize("level-drop-omega-power", Reflect(drop, gamma, EA_PLUS))
+        for _ in range(level - need):
+            default_rules().authorize("level-drop-omega-power")
             gamma = veblen(ZERO, gamma)
     return gamma
 
@@ -247,7 +245,7 @@ def _reduce_pa(chain: list[tuple[int, Ordinal]], k: int) -> TheoryExpr:
         total = add(iterations, total)
     if not is_natural(total):
         raise ShapeError("transfinite iteration over PA is outside the catalog")
-    default_rules().authorize("pa-con-product", Reflect(1, total, PA) if chain else PA)
+    default_rules().authorize("pa-con-product")
     return Reflect(1, mul_nat(EPSILON0, 1 + to_int(total)), EA_PLUS)
 
 
@@ -264,6 +262,7 @@ def progression_stage(t: TheoryExpr, alpha: Ordinal) -> TheoryExpr:
     if alpha.is_zero():
         raise RangeError("progression stages start at 1")
     if isinstance(t, Reflect) and t.level == 1:
+        default_rules().authorize("concatenation")
         return Reflect(1, add(t.iterations, alpha), t.over)
     return Reflect(1, alpha, t)
 

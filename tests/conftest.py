@@ -2,10 +2,17 @@ import argparse
 import random
 
 import pytest
+from hypothesis import settings
 
 from ordlab.cli import build_parser
 
 from ordlab.ordinals import add, compare, enumerate_terms, from_int, in_phi_range, veblen
+
+# Every Hypothesis test draws the same examples on every run and keeps no
+# example database, so a failure anywhere reproduces everywhere.  Each
+# test's own max_examples and deadline still apply.
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
 
 
 def random_term(rng: random.Random, depth: int):

@@ -11,6 +11,7 @@ import pytest
 import ordlab
 from ordlab._scan import MAX_DEPTH
 from ordlab.cli import build_parser, run
+from ordlab.theories import EA_PLUS, default_catalog
 
 GOLDEN_CORPUS = [
     "0", "1", "7", "w", "w+1", "w*2", "w*2+1", "w^2", "w^w", "w^(w+1)",
@@ -341,6 +342,16 @@ def test_usage_error_exit_2(capsys):
 def test_unknown_catalog_vs_sexpr(capsys):
     code, out, err = invoke(capsys, "theory", "pi-ordinal", "ZFC", "1")
     assert code == 1 and out == ""
+
+
+def test_catalog_is_read_only(capsys):
+    listing = invoke(capsys, "theory", "catalog")
+    with pytest.raises(TypeError):
+        default_catalog()["PA"] = EA_PLUS
+    with pytest.raises(TypeError):
+        del default_catalog()["PA"]
+    assert invoke(capsys, "theory", "catalog") == listing
+    assert invoke(capsys, "theory", "pi-ordinal", "PA", "1") == (0, "e0\n", "")
 
 
 # --- help and usage ------------------------------------------------------------------

@@ -124,8 +124,8 @@ def _ref_reduce_to_level(t, k, rules):
             raise ShapeError(
                 f"{format_theory(t)} is outside the supported shapes at level {k}"
             ) from None
-        rules.authorize("worm-route", t)
-        gamma = worm_ordinal(Worm(letters))
+        rules.authorize("worm-route")
+        gamma = rules.worm_ordinal(Worm(letters))
     if gamma.is_zero():
         return EA_PLUS
     return Reflect(k, gamma, EA_PLUS)
@@ -140,11 +140,11 @@ def _ref_reduce_ea(t, k, rules):
     if inner.is_zero():
         gamma = t.iterations
     else:
-        rules.authorize("concatenation", Reflect(t.level, t.iterations, Reflect(t.level, inner, EA_PLUS)))
-        gamma = add(inner, t.iterations)
-    for level in range(t.level, k, -1):
-        rules.authorize("level-drop-omega-power", Reflect(level, gamma, EA_PLUS))
-        gamma = veblen(ZERO, gamma)
+        rules.authorize("concatenation")
+        gamma = rules.add(inner, t.iterations)
+    for _ in range(t.level, k, -1):
+        rules.authorize("level-drop-omega-power")
+        gamma = rules.veblen(ZERO, gamma)
     return gamma
 
 
@@ -166,24 +166,33 @@ def _ref_reduce_pa(t, k, rules):
     while isinstance(node, Reflect):
         if node.level != 1:
             raise ShapeError("only level-1 reflection towers over PA are in the catalog")
-        iterations = add(node.iterations, iterations)
+        iterations = rules.add(node.iterations, iterations)
         node = node.over
     if not is_natural(iterations):
         raise ShapeError("transfinite iteration over PA is outside the catalog")
-    rules.authorize("pa-con-product", Reflect(1, iterations, PA) if isinstance(t, Reflect) else PA)
+    rules.authorize("pa-con-product")
     return Reflect(1, mul_nat(EPSILON0, 1 + to_int(iterations)), EA_PLUS)
 
 
 class _LoggedRules(RuleSet):
-    """The default rules, logging each authorize call as (transform, shape)."""
+    """The default rules, logging each authorize call by its transform.  Its
+    add, veblen and worm_ordinal log each call, as (name, operands...), into
+    the same log, so a licensed step is logged with the operation after it."""
 
     def __init__(self, log):
         super().__init__(list(default_rules().rules))
         self.log = log
+        self.add, self.veblen, self.worm_ordinal = map(self._logged, (add, veblen, worm_ordinal))
 
-    def authorize(self, transform, shape):
-        self.log.append((transform, format_theory(shape)))
-        return super().authorize(transform, shape)
+    def _logged(self, fn):
+        def logged(*args):
+            self.log.append((fn.__name__, *map(repr, args)))
+            return fn(*args)
+        return logged
+
+    def authorize(self, transform):
+        self.log.append(transform)
+        return super().authorize(transform)
 
 
 _REF_ITERATIONS = [ONE] * 8 + [
@@ -214,20 +223,21 @@ def _outcome(reduce, t, k):
 
 def test_reduction_matches_the_recursive_reference(monkeypatch):
     rng = random.Random(20041)
-    ref_log, log, worms = [], [], []
+    ref_log, log = [], []
     ref_rules, rules = _LoggedRules(ref_log), _LoggedRules(log)
     monkeypatch.setattr(theories, "default_rules", lambda: rules)
-    monkeypatch.setattr(theories, "worm_ordinal", lambda w: worms.append(w) or worm_ordinal(w))
+    for name in ("add", "veblen", "worm_ordinal"):
+        monkeypatch.setattr(theories, name, getattr(rules, name))
     seen = set()
     for _ in range(6000):
         t, k = _random_chain(rng)
         ref_log.clear()
         log.clear()
-        worms.clear()
         expected = _outcome(lambda t, k: _ref_reduce_to_level(t, k, ref_rules), t, k)
         assert _outcome(reduce_to_level, t, k) == expected, (format_theory(t), k)
         assert log == ref_log, (format_theory(t), k)
-        seen.add("worm" if worms else "rules" if log else expected[0])
+        transforms = [entry for entry in log if entry in TRANSFORMS]
+        seen.add("worm" if "worm-route" in transforms else "rules" if transforms else expected[0])
     # Both routes, answers no rule was needed for, and both error kinds.
     assert seen == {"worm", "rules", "ok", "ShapeError", "RangeError"}
 
@@ -334,7 +344,7 @@ def test_every_rule_has_citation_and_known_transform():
     # Exactly one rule for each transform: a second could never fire.
     assert sorted(rule.ordinal_transform for rule in rules.rules) == sorted(TRANSFORMS)
     for transform in TRANSFORMS:
-        assert rules.authorize(transform, EA_PLUS).ordinal_transform == transform
+        assert rules.authorize(transform).ordinal_transform == transform
 
 
 def test_rule_file_rejects_bad_lines():
@@ -375,15 +385,32 @@ def test_rule_set_names_each_transform_once():
 def test_every_route_asks_its_rule(monkeypatch):
     log = []
     monkeypatch.setattr(theories, "default_rules", lambda: _LoggedRules(log))
-    worm_shaped = parse_theory("(con 1 (rfn 3 1 (con 1 EA+)))")
     for t, calls in [
-        (PA, [("pa-con-product", "PA")]),
-        (Reflect(1, from_int(2), PA), [("pa-con-product", "(con 2 PA)")]),
-        (worm_shaped, [("worm-route", format_theory(worm_shaped))]),
+        (PA, ["pa-con-product"]),
+        (Reflect(1, from_int(2), PA), ["pa-con-product"]),
+        (parse_theory("(con 1 (rfn 3 1 (con 1 EA+)))"), ["worm-route"]),
+        (parse_theory("(con 1 (rfn 2 1 EA+))"), ["level-drop-omega-power", "concatenation"]),
     ]:
         log.clear()
         reduce_to_level(t, 1)
         assert log == calls
+    # A stage over a level-1 stage concatenates; any other stage is new.
+    for t, calls in [(Reflect(1, OMEGA, EA_PLUS), ["concatenation"]), (EA_PLUS, [])]:
+        log.clear()
+        progression_stage(t, ONE)
+        assert log == calls
+
+
+def test_rules_route_constructs_only_its_answer(monkeypatch):
+    t = EA_PLUS
+    for level in (3,) * 8 + (2,) * 8 + (1,) * 8:
+        t = Reflect(level, OMEGA if level == 2 else ONE, t)
+    built = []
+    init = Reflect.__init__
+    monkeypatch.setattr(Reflect, "__init__", lambda self, *args: built.append(self) or init(self, *args))
+    answer = reduce_to_level(t, 1)
+    assert built == [answer]
+    assert isinstance(answer, Reflect) and answer.level == 1
 
 
 # --- text format ------------------------------------------------------------------------
