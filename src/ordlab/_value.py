@@ -1,13 +1,22 @@
 """The immutable value classes' shared base.
 
-A value class names its fields in ``__match_args__``, in constructor order,
-and stores them, with any memo of its own, in ``__slots__``.  Instances are
-equal when they are of the same class and their fields are equal, hash over
-their fields, print as ``Class(field=value, ...)``, copy and pickle through
-their constructor, and refuse assignment and deletion with an
-``AttributeError``.  A class whose instances are built on a hot path writes
-its ``__init__``, ``__eq__`` and ``__hash__`` out.
+A value class names its constructor fields in ``__match_args__``, in order,
+and stores them, with any memo of its own, in ``__slots__``.  The fields
+whose names do not start with ``_`` are the compared ones: instances are
+equal when they are of the same class and their compared fields are equal,
+hash as the tuple of those fields, and print as ``Class(field=value, ...)``
+over them.  Instances copy and pickle through their constructor, except
+that ``PredicateExpr`` and ``Presentation`` hold a compiled scanner and do
+not pickle; assignment and deletion raise ``AttributeError``.
+
+The rule for writing a method out is traffic.  A class built on a hot path
+writes out its ``__init__``, as does one that checks or defaults a field.
+Only the classes compared inside ``compare``, ``format_ordinal`` and
+``is_natural`` (``Ordinal`` and ``VeblenAtom``) write out ``__eq__`` and
+``__hash__``.
 """
+
+from operator import attrgetter
 
 set_field = object.__setattr__
 """Assign a field from ``__init__``, past the refusal of ``Value.__setattr__``."""
@@ -15,6 +24,19 @@ set_field = object.__setattr__
 
 class Value:
     __slots__ = __match_args__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        # _key(value) is the tuple of value's compared fields, built once
+        # per class; attrgetter returns a bare field for a single name.
+        super().__init_subclass__(**kwargs)
+        names = cls._compared = tuple(n for n in cls.__match_args__ if not n.startswith("_"))
+        if len(names) > 1:
+            key = attrgetter(*names)
+        elif names:
+            key = lambda value, get=attrgetter(*names): (get(value),)
+        else:
+            key = lambda value: ()
+        cls._key = staticmethod(key)
 
     def __init__(self, *args, **kwargs):
         fields = self.__match_args__
@@ -28,23 +50,20 @@ class Value:
         for name, value in zip(fields, args):
             set_field(self, name, value)
 
-    def _fields(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__match_args__])
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._fields() == other._fields()
+        return self._key(self) == other._key(other)
 
     def __hash__(self) -> int:
-        return hash(self._fields())
+        return hash(self._key(self))
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
         return f"{type(self).__qualname__}({shown})"
 
     def __reduce__(self):
-        return type(self), self._fields()
+        return type(self), tuple([getattr(self, name) for name in self.__match_args__])
 
     def __setattr__(self, name: str, value):
         raise AttributeError(f"cannot assign to field {name!r}")

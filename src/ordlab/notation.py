@@ -59,17 +59,6 @@ class PredicateExpr(Value):
         set_field(self, "tree", tree)
         set_field(self, "_counterexamples", _counterexamples)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.source, self.tree) == (other.source, other.tree)
-
-    def __hash__(self) -> int:
-        return hash((self.source, self.tree))
-
-    def __repr__(self) -> str:
-        return f"PredicateExpr(source={self.source!r}, tree={self.tree!r})"
-
     def evaluate(self, n: int) -> bool:
         return next(self._counterexamples(n, n + 1), None) is None
 
@@ -234,14 +223,6 @@ class Presentation(Value):
         # s == k) or None.  Each stored pair is a true fact about a pure
         # predicate, swapped in whole, so a presentation may be shared.
         set_field(self, "_scanned", (0, None))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.predicate == other.predicate
-
-    def __hash__(self) -> int:
-        return hash((self.predicate,))
 
     def least_counterexample(self, bound: int) -> Optional[int]:
         """First n <= bound with not P(n), scanning upward, or None; never

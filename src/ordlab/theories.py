@@ -83,15 +83,6 @@ class Reflect(TheoryExpr):
         set_field(self, "iterations", iterations)
         set_field(self, "over", over)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.level, self.iterations, self.over)
-                == (other.level, other.iterations, other.over))
-
-    def __hash__(self) -> int:
-        return hash((self.level, self.iterations, self.over))
-
     def __repr__(self) -> str:
         return f"Reflect({self.level}, {self.iterations!r}, {self.over!r})"
 
@@ -112,17 +103,23 @@ class ReductionRule(Value):
     citation: str
 
 
-class RuleSet:
+class RuleSet(Value):
     """Exactly one rule per transform: the rule that licenses, and cites,
     every step of that transform, in a reduction or a progression stage."""
 
+    __slots__ = ("rules", "_by_transform")
+    __match_args__ = ("rules",)
+    rules: tuple[ReductionRule, ...]
+
     def __init__(self, rules: list[ReductionRule]):
-        self.rules = tuple(rules)
+        rules = tuple(rules)
         for transform in TRANSFORMS:
-            count = [rule.ordinal_transform for rule in self.rules].count(transform)
+            count = [rule.ordinal_transform for rule in rules].count(transform)
             if count != 1:
                 raise CatalogError(f"a rule set needs exactly one {transform} rule, not {count}")
-        self._by_transform = {rule.ordinal_transform: rule for rule in rules}
+        set_field(self, "rules", rules)
+        set_field(self, "_by_transform",
+                  MappingProxyType({rule.ordinal_transform: rule for rule in rules}))
 
     def authorize(self, transform: str) -> ReductionRule:
         """The rule that licenses a step of this transform."""

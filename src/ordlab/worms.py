@@ -42,14 +42,6 @@ class Worm(Value):
         within_depth(max(letters, default=0), "worm letter")
         set_field(self, "letters", letters)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.letters == other.letters
-
-    def __hash__(self) -> int:
-        return hash((self.letters,))
-
     def is_top(self) -> bool:
         return not self.letters
 

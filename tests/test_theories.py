@@ -5,6 +5,7 @@ import pytest
 
 from ordlab import theories
 from ordlab._scan import MAX_DEPTH, MAX_WIDTH
+from ordlab._value import set_field
 from ordlab.errors import CatalogError, ParseError, RangeError, ShapeError
 from ordlab.ordinals import (
     EPSILON0,
@@ -181,8 +182,9 @@ class _LoggedRules(RuleSet):
 
     def __init__(self, log):
         super().__init__(list(default_rules().rules))
-        self.log = log
-        self.add, self.veblen, self.worm_ordinal = map(self._logged, (add, veblen, worm_ordinal))
+        set_field(self, "log", log)
+        for fn in (add, veblen, worm_ordinal):
+            set_field(self, fn.__name__, self._logged(fn))
 
     def _logged(self, fn):
         def logged(*args):
@@ -380,6 +382,25 @@ def test_rule_set_names_each_transform_once():
             RuleSet(rules[:i] + rules[i + 1:])
         with pytest.raises(CatalogError, match=f"exactly one {rule.ordinal_transform} rule, not 2"):
             RuleSet(rules + [rule])
+
+
+def test_rule_set_is_read_only():
+    # Each write puts back what is there, so a rule set that takes it stays whole.
+    rules = default_rules()
+    before = rules.rules
+    for name in ("rules", "_by_transform"):
+        with pytest.raises(AttributeError):
+            setattr(rules, name, getattr(rules, name))
+        with pytest.raises(AttributeError):
+            delattr(rules, name)
+    with pytest.raises(TypeError):
+        rules._by_transform["concatenation"] = rules.authorize("concatenation")
+    with pytest.raises(TypeError):
+        del rules._by_transform["concatenation"]
+    assert default_rules() is rules and rules.rules is before
+    assert rules.authorize("concatenation").ordinal_transform == "concatenation"
+    assert reduce_to_level(parse_theory("(con 1 (rfn 2 1 EA+))"), 1) == Reflect(
+        1, add(OMEGA, ONE), EA_PLUS)
 
 
 def test_every_route_asks_its_rule(monkeypatch):

@@ -1,4 +1,4 @@
-"""The contract of ordlab's 24 immutable value classes: equality and hash
+"""The contract of ordlab's 25 immutable value classes: equality and hash
 over the fields, only within one class; today's repr; assignment and
 deletion refused; no instance __dict__; keyword construction and defaults;
 the checks each constructor makes; copies, pickles and class patterns."""
@@ -32,12 +32,13 @@ from ordlab.formulas import (
 )
 from ordlab.notation import AuditReport, PredicateExpr, Presentation, parse_predicate
 from ordlab.ordinals import EPSILON0, ONE, ZERO, Ordinal, VeblenAtom
-from ordlab.theories import EA_PLUS, PA, Base, Reflect, ReductionRule
+from ordlab.theories import EA_PLUS, PA, TRANSFORMS, Base, Reflect, ReductionRule, RuleSet
 from ordlab.worms import Worm
 
 X, Y = Var("x"), Var("y")
 REF = TheoryRef("PA")
 SEVEN = "x != 7"
+RULES = [ReductionRule("r", transform, "c") for transform in TRANSFORMS]
 
 # Per class: a factory of fresh, equal instances; an instance of the same
 # class that differs in one field (None for Verum, which has none); the
@@ -79,23 +80,36 @@ CASES = {
                     ReductionRule("r", "worm-route", "Schmerl 1979"),
                     "ReductionRule(name='r', ordinal_transform='concatenation', "
                     "citation='Schmerl 1979')"),
+    RuleSet: (lambda: RuleSet(RULES), RuleSet(RULES[::-1]),
+              "RuleSet(rules=(ReductionRule(name='r', "
+              "ordinal_transform='level-drop-omega-power', citation='c'), "
+              "ReductionRule(name='r', ordinal_transform='concatenation', citation='c'), "
+              "ReductionRule(name='r', ordinal_transform='pa-con-product', citation='c'), "
+              "ReductionRule(name='r', ordinal_transform='worm-route', citation='c')))"),
     Ordinal: (lambda: Ordinal(EPSILON0.parts), ONE, "Ordinal('e0')"),
     VeblenAtom: (lambda: VeblenAtom(ZERO, ZERO), VeblenAtom(ZERO, ONE),
                  "VeblenAtom(index=Ordinal('0'), arg=Ordinal('0'))"),
     Worm: (lambda: Worm((1, 0, 1)), Worm((1, 0)), "Worm('1 0 1')"),
 }
 
-# The fields that == and hash compare: the constructor's, less the compiled
-# predicate, which follows from the other two.
-FIELDS = {cls: tuple(f for f in cls.__match_args__ if f != "_counterexamples") for cls in CASES}
+# The fields that == and hash compare: the constructor's whose names do not
+# start with "_", so not PredicateExpr's compiled predicate, which follows
+# from the other two.
+FIELDS = {cls: tuple(f for f in cls.__match_args__ if not f.startswith("_")) for cls in CASES}
+
+MODULES = (formulas, notation, ordinals, theories, worms)
+VALUE_CLASSES = {cls for module in MODULES for cls in vars(module).values()
+                 if isinstance(cls, type) and issubclass(cls, Value)} - {Value}
 
 
 def test_every_value_class_is_covered():
-    modules = (formulas, notation, ordinals, theories, worms)
-    found = {cls for module in modules for cls in vars(module).values()
-             if isinstance(cls, type) and issubclass(cls, Value)}
-    found -= {Value, formulas.Formula, theories.TheoryExpr}
-    assert found == set(CASES) and len(CASES) == 24
+    found = VALUE_CLASSES - {formulas.Formula, theories.TheoryExpr}
+    assert found == set(CASES) and len(CASES) == 25
+
+
+def test_only_the_ordinal_core_writes_out_equality():
+    written = {cls for cls in VALUE_CLASSES if {"__eq__", "__hash__"} & vars(cls).keys()}
+    assert written == {Ordinal, VeblenAtom}
 
 
 @pytest.mark.parametrize("cls", CASES, ids=lambda cls: cls.__name__)
