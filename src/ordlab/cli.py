@@ -12,7 +12,7 @@ import functools
 import sys
 
 from . import _module
-from ._scan import DEFAULT_FUEL
+from ._scan import DEFAULT_FUEL, MAX_NUMERAL_DIGITS
 from .errors import OrdlabError
 
 _CMP_NAMES = {-1: "LT", 0: "EQ", 1: "GT"}
@@ -31,6 +31,15 @@ _GROUPS = {
 # Readers: each turns an argument's text into a value.  They and run() are
 # the only places that load a library module: this module itself imports
 # just the limits and the error types.
+
+def _integer(text: str) -> int:
+    """An integer argument: an optional "-", then a numeral under the numeral
+    rule; a refusal is a usage error in argparse's own words for int()."""
+    digits = text[1:] if text.startswith("-") else text
+    if not digits.isdecimal() or len(digits) > MAX_NUMERAL_DIGITS:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
 
 def _ordinal(text: str):
     return _module("ordinals").parse_ordinal(text)
@@ -92,7 +101,7 @@ _COMMANDS = [
      lambda m, ns: _CMP_NAMES[m.compare(_ordinal(ns.x), _ordinal(ns.y))]),
     ("ord", "add", "ordinal sum", [_arg("x"), _arg("y")],
      lambda m, ns: m.add(_ordinal(ns.x), _ordinal(ns.y))),
-    ("ord", "mul", "multiply an ordinal by a natural", [_arg("x"), _arg("n", type=int)],
+    ("ord", "mul", "multiply an ordinal by a natural", [_arg("x"), _arg("n", type=_integer)],
      lambda m, ns: m.mul_nat(_ordinal(ns.x), ns.n)),
     ("ord", "normalize", "parse and reprint in canonical form", [_arg("x")],
      lambda m, ns: _ordinal(ns.x)),
@@ -111,10 +120,10 @@ _COMMANDS = [
     ("worm", "to-theory", "reflection expression of a worm", [_arg("w")],
      lambda m, ns: m.theory_of_worm(_worm(ns.w))),
     ("theory", "pi-ordinal", "Pi_k proof-theoretic ordinal",
-     [_arg("theory"), _arg("level", type=int)],
+     [_arg("theory"), _arg("level", type=_integer)],
      lambda m, ns: m.pi_ordinal(_theory(ns.theory), ns.level)),
     ("theory", "reduce", "reduce to a single reflection level",
-     [_arg("theory"), _arg("level", type=int)],
+     [_arg("theory"), _arg("level", type=_integer)],
      lambda m, ns: m.reduce_to_level(_theory(ns.theory), ns.level)),
     ("theory", "stage", "consistency-progression stage", [_arg("theory"), _arg("alpha")],
      lambda m, ns: m.progression_stage(_theory(ns.theory), _ordinal(ns.alpha))),
@@ -123,9 +132,9 @@ _COMMANDS = [
     ("dilator", "eval", "evaluate the dilator at (alpha, beta)", [_arg("alpha"), _arg("beta")],
      lambda m, ns: m.omega_model_dilator(_ordinal(ns.alpha), _ordinal(ns.beta))),
     ("notation", "kreisel", "build a presentation and check a window",
-     [_arg("predicate"), _arg("window", type=int)], _kreisel),
+     [_arg("predicate"), _arg("window", type=_integer)], _kreisel),
     ("notation", "audit", "counterexample/descent report for a window",
-     [_arg("predicate"), _arg("window", type=int)],
+     [_arg("predicate"), _arg("window", type=_integer)],
      lambda m, ns: m.audit(_presentation(ns.predicate), ns.window, fuel=ns.fuel)),
     ("notation", "descend", "descending chain within --fuel, if any",
      [_arg("predicate")], _descend),
@@ -153,9 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
         "pathological presentations, and formula constructions.",
     )
     parser.add_argument("--ascii", action="store_true", help="render formulas in pure ASCII")
-    parser.add_argument("--fuel", type=int, default=DEFAULT_FUEL, metavar="N",
+    parser.add_argument("--fuel", type=_integer, default=DEFAULT_FUEL, metavar="N",
                         help=f"search/window cap for the notation lab (default {DEFAULT_FUEL})")
-    parser.add_argument("--max-nodes", type=int, default=6, dest="max_nodes", metavar="N",
+    parser.add_argument("--max-nodes", type=_integer, default=6, dest="max_nodes", metavar="N",
                         help="structural-size bound for 'ord enum' (default 6)")
     groups = parser.add_subparsers(dest="group", required=True, metavar="GROUP")
     commands = {}

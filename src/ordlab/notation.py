@@ -86,43 +86,34 @@ def eval_tree(tree: tuple, n: int):
 
 class _PredicateParser(Scanner):
     """Recursive descent: or < and < not < comparison < + < *; each "(" and
-    "not" nests one level.  Each rule returns a (tree, depth) pair, so a
-    tree deeper than MAX_DEPTH is refused as it is built: the compiled form
-    nests one pair of parentheses per tree level, and CPython's compiler
-    refuses more than 200."""
+    "not" nests one level.  Each rule returns its plain tree.  A chain of a
+    binary operator is built by a loop, so a tree may grow past MAX_DEPTH
+    here without recursion; _tree_to_python, compiling it, refuses it."""
 
     error_type = PredicateError
-
-    def node(self, tag: str, *children: tuple) -> tuple:
-        depth = 1 + max(d for _, d in children)
-        if depth > MAX_DEPTH:
-            # A RangeError, so that the backtracking in comparison() cannot
-            # swallow it as a failed parse.
-            raise RangeError(f"predicate tree deeper than the depth cap {MAX_DEPTH}")
-        return (tag, *(tree for tree, _ in children)), depth
 
     def or_expr(self) -> tuple:
         node = self.and_expr()
         while self.keyword("or"):
-            node = self.node("or", node, self.and_expr())
+            node = ("or", node, self.and_expr())
         return node
 
     def and_expr(self) -> tuple:
         node = self.not_expr()
         while self.keyword("and"):
-            node = self.node("and", node, self.not_expr())
+            node = ("and", node, self.not_expr())
         return node
 
     def not_expr(self) -> tuple:
         if self.keyword("not"):
-            return self.node("not", self.nested(self.not_expr))
+            return ("not", self.nested(self.not_expr))
         return self.comparison()
 
     def comparison(self) -> tuple:
         if self.keyword("true"):
-            return ("bool", True), 1
+            return ("bool", True)
         if self.keyword("false"):
-            return ("bool", False), 1
+            return ("bool", False)
         if self.peek() == "(":
             # parenthesized boolean, e.g. "(x != 7 and x != 9)"
             save = self.pos
@@ -138,21 +129,21 @@ class _PredicateParser(Scanner):
         for op in _COMPARISONS:
             if self.text.startswith(op, self.pos):
                 self.pos += len(op)
-                return self.node(op if op != "==" else "=", left, self.arith())
+                return (op if op != "==" else "=", left, self.arith())
         self.error("expected a comparison operator")
 
     def arith(self) -> tuple:
         node = self.term()
         while self.peek() == "+":
             self.pos += 1
-            node = self.node("+", node, self.term())
+            node = ("+", node, self.term())
         return node
 
     def term(self) -> tuple:
         node = self.factor()
         while self.peek() == "*":
             self.pos += 1
-            node = self.node("*", node, self.factor())
+            node = ("*", node, self.factor())
         return node
 
     def factor(self) -> tuple:
@@ -163,9 +154,9 @@ class _PredicateParser(Scanner):
             self.eat(")")
             return node
         if ch.isdecimal():
-            return ("num", self.numeral()), 1
+            return ("num", self.numeral())
         if self.keyword("x"):
-            return ("var",), 1
+            return ("var",)
         self.error("expected a numeral, 'x', or '('")
 
 
@@ -178,16 +169,20 @@ def _scanner_factory(src: str) -> Callable[..., Callable[[int, int], Iterator[in
 
 def _compile_tree(tree: tuple) -> Callable[[int, int], Iterator[int]]:
     numerals = []
-    shape = _tree_to_python(tree, numerals)
+    shape = _tree_to_python(tree, numerals, 1)
     params = ", ".join(f"n{i}" for i in range(len(numerals)))
     factory = _scanner_factory(
         f"lambda {params}: lambda s, e: (x for x in range(s, e) if not {shape})")
     return factory(*numerals)
 
 
-def _tree_to_python(tree: tuple, numerals: list[int]) -> str:
-    """Python source for ``tree``, with each numeral written as the
-    parameter n<i> and its value appended to ``numerals``."""
+def _tree_to_python(tree: tuple, numerals: list[int], depth: int) -> str:
+    """Python source for ``tree`` at level ``depth``, each numeral written
+    as the parameter n<i> and its value appended to ``numerals``.  The
+    source nests one pair of parentheses per level, and CPython's compiler
+    refuses more than 200: a level past MAX_DEPTH is a RangeError."""
+    if depth > MAX_DEPTH:
+        raise RangeError(f"predicate tree deeper than the depth cap {MAX_DEPTH}")
     tag = tree[0]
     if tag == "bool":
         return "True" if tree[1] else "False"
@@ -197,14 +192,15 @@ def _tree_to_python(tree: tuple, numerals: list[int]) -> str:
     if tag == "var":
         return "x"
     if tag == "not":
-        return f"(not {_tree_to_python(tree[1], numerals)})"
+        return f"(not {_tree_to_python(tree[1], numerals, depth + 1)})"
     op = {"=": "=="}.get(tag, tag)
-    return f"({_tree_to_python(tree[1], numerals)} {op} {_tree_to_python(tree[2], numerals)})"
+    left, right = (_tree_to_python(child, numerals, depth + 1) for child in tree[1:])
+    return f"({left} {op} {right})"
 
 
 def parse_predicate(text: str) -> PredicateExpr:
     parser = _PredicateParser(text)
-    tree, _ = parser.or_expr()
+    tree = parser.or_expr()
     parser.end()
     return PredicateExpr(text.strip(), tree, _compile_tree(tree))
 
@@ -258,14 +254,14 @@ def kreisel_presentation(predicate: PredicateExpr | str) -> Presentation:
     return Presentation(predicate)
 
 
-def _check_fuel(fuel: int, window: int | None = None):
+def _check_fuel(fuel: int, window: int):
     if fuel < 0:
         raise RangeError(f"fuel {fuel} is negative")
-    if window is not None and window < 0:
+    if window < 0:
         raise RangeError(f"window {window} is negative")
     if fuel > MAX_FUEL:
         raise RangeError(f"fuel {fuel} exceeds the cap {MAX_FUEL}")
-    if window is not None and window > fuel:
+    if window > fuel:
         raise RangeError(f"window {window} exceeds the fuel cap {fuel}")
 
 
@@ -283,9 +279,9 @@ def check_ascending(p: Presentation, n: int, fuel: int = DEFAULT_FUEL) -> bool:
 
 def find_descending(p: Presentation, fuel: int) -> Optional[list[int]]:
     """A strictly descending chain starting at the least counterexample
-    within the window, of length min(fuel, what the window holds); None when
-    the predicate has no counterexample at or below fuel."""
-    _check_fuel(fuel)
+    within the window 0..fuel, of length min(fuel, what the window holds);
+    None when the predicate has no counterexample there."""
+    _check_fuel(fuel, fuel)
     k = p.least_counterexample(fuel)
     if k is None:
         return None

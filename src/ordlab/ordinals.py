@@ -10,8 +10,7 @@ equality, so ``==`` and ``hash`` are meaningful there.  The ``Ordinal`` and
 ``VeblenAtom`` constructors themselves check nothing: a term built by hand
 can be non-canonical, and then ``==`` can disagree with ``compare``
 (``Ordinal(((VeblenAtom(ZERO, EPSILON0), 1),))`` prints ``w^e0`` and compares
-EQ to ``EPSILON0``, yet ``==`` says they differ).  ROADMAP item 2 plans one
-checked constructor.
+EQ to ``EPSILON0``, yet ``==`` says they differ).
 
 Canonicity of an atom phi(a, b) requires that b is not itself a single atom
 phi(c, d) with c > a: such a b is a fixed point of phi_a and the atom would

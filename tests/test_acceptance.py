@@ -130,7 +130,7 @@ def test_criterion_02_surrogate_vector_oracle():
 
     small = [(t, vector(t)) for t in enumerate_terms(5)]
     small = [(t, v) for t, v in small if v is not None]
-    assert small
+    assert len(small) > 10
     disagreements = sum(
         1
         for x, vx in small

@@ -223,11 +223,53 @@ def test_numeral_rule_accepts(capsys):
     "x" + "*x" * 299 + " >= 0",
     "not " * 300 + "x = 1",
     "not " * 2000 + "x = 1",
+    # Chains of each binary operator one level past the cap.
+    " or ".join(["x = 1"] * MAX_DEPTH),
+    " and ".join(["x = 1"] * MAX_DEPTH),
+    "x" + "+x" * (MAX_DEPTH - 1) + " >= 0",
 ])
 def test_deep_predicate_is_a_range_error(capsys, predicate):
     code, out, err = invoke(capsys, "notation", "audit", predicate, "10")
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: range:")
+
+
+def test_deep_predicate_with_a_later_syntax_error_is_a_predicate_error(capsys):
+    # The depth is checked when the predicate compiles, after it parses.
+    predicate = "x" + "*x" * 299 + " >= 0 )"
+    assert invoke(capsys, "notation", "audit", predicate, "10") == (
+        1, "", "error: predicate: trailing input at position 605\n")
+
+
+# Every integer argument, with None where the integer goes.
+INTEGER_ARGUMENTS = [
+    ("ord", "mul", "w", None),
+    ("theory", "pi-ordinal", "EA+", None),
+    ("theory", "reduce", "(rfn 3 1 EA+)", None),
+    ("notation", "kreisel", "x != 7", None),
+    ("notation", "audit", "x != 7", None),
+    ("--fuel", None, "notation", "descend", "x != 7"),
+    ("--max-nodes", None, "ord", "enum"),
+]
+
+
+def _with_integer(argv, text):
+    return [text if arg is None else arg for arg in argv]
+
+
+@pytest.mark.parametrize("text", [
+    "1_0", "+3", " 2 ", "²", "", pytest.param("9" * 4301, id="4301-digits")])
+@pytest.mark.parametrize("argv", INTEGER_ARGUMENTS)
+def test_integer_argument_outside_the_numeral_rule_is_a_usage_error(capsys, argv, text):
+    code, out, err = invoke(capsys, *_with_integer(argv, text))
+    assert code == 2 and out == ""
+    assert err.endswith(f": invalid int value: {text!r}\n")
+
+
+@pytest.mark.parametrize("argv", INTEGER_ARGUMENTS)
+def test_integer_argument_digits_of_any_script(capsys, argv):
+    code, out, err = invoke(capsys, *_with_integer(argv, "٣"))
+    assert code == 0 and out and err == ""
 
 
 @pytest.mark.parametrize("argv", [

@@ -165,10 +165,14 @@ def test_compiled_predicate_agrees_with_ast_on_the_whole_grammar():
 
 def test_predicate_at_depth_cap():
     # MAX - 1 factors make a product tree MAX - 1 deep; the comparison adds one.
+    # MAX - 1 comparisons joined by "or" or "and" make a tree MAX deep too.
     at_cap = [
         "x" + "*x" * (MAX_DEPTH - 2) + " >= 0",
         "not " * (MAX_DEPTH - 2) + "x = 1",
         "(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH + " != 1",
+        "x" + "+x" * (MAX_DEPTH - 2) + " >= 0",
+        " or ".join(["x = 1"] * (MAX_DEPTH - 1)),
+        " and ".join(["x = 1"] * (MAX_DEPTH - 1)),
     ]
     for text in at_cap:
         p = parse_predicate(text)
@@ -180,6 +184,9 @@ def test_predicate_at_depth_cap():
         "x" + "*x" * (MAX_DEPTH - 1) + " >= 0",
         "not " * (MAX_DEPTH - 1) + "x = 1",
         "(" * (MAX_DEPTH + 1) + "x" + ")" * (MAX_DEPTH + 1) + " != 1",
+        "x" + "+x" * (MAX_DEPTH - 1) + " >= 0",
+        " or ".join(["x = 1"] * MAX_DEPTH),
+        " and ".join(["x = 1"] * MAX_DEPTH),
     ]
     for text in over_cap:
         with pytest.raises(RangeError):

@@ -419,29 +419,3 @@ def test_veblen_strictly_monotone_sampled(rng):
                 c = compare(x, y)
                 if c == LT:
                     assert compare(veblen(a, x), veblen(a, y)) == LT
-
-
-def test_surrogate_vector_oracle(pool5):
-    # Below w^w: all indices zero, finite exponents; coefficient vectors
-    # compare reverse-lexicographically.
-    def vector(t):
-        out = {}
-        for atom, count in t.parts:
-            if not atom.index.is_zero() or not is_natural(atom.arg):
-                return None
-            out[to_int(atom.arg)] = count
-        return out
-
-    def vec_cmp(u, v):
-        for e in sorted(set(u) | set(v), reverse=True):
-            cu, cv = u.get(e, 0), v.get(e, 0)
-            if cu != cv:
-                return LT if cu < cv else GT
-        return EQ
-
-    small = [(t, vector(t)) for t in pool5]
-    small = [(t, v) for t, v in small if v is not None]
-    assert len(small) > 10
-    for x, vx in small:
-        for y, vy in small:
-            assert compare(x, y) == vec_cmp(vx, vy)
