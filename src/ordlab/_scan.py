@@ -105,8 +105,7 @@ class Scanner:
         return numeral_value(digits)
 
     def nested(self, rule, *args):
-        """``rule(*args)`` one nesting level down: every grammar's recursion
-        guard, raising a RangeError, which no grammar's backtracking catches."""
+        """Every grammar's recursion guard: ``rule(*args)`` one level down, or a RangeError."""
         if self.depth == MAX_DEPTH:
             raise RangeError(f"nesting exceeds the depth cap {MAX_DEPTH}", self.pos)
         self.depth += 1

@@ -38,6 +38,7 @@ _COMPARISONS = {
     "=": lambda a, b: a == b,
     "!=": lambda a, b: a != b,
 }
+_SUM_TAGS = ("num", "var", "+", "*")
 
 
 class PredicateExpr(Value):
@@ -85,72 +86,61 @@ def eval_tree(tree: tuple, n: int):
 
 
 class _PredicateParser(Scanner):
-    """Recursive descent: or < and < not < comparison < + < *; each "(" and
-    "not" nests one level.  Each rule returns its plain tree.  A chain of a
-    binary operator is built by a loop, so a tree may grow past MAX_DEPTH
-    here without recursion; _tree_to_python, compiling it, refuses it."""
+    """One-pass recursive descent: or < and < not < comparison < + < *.  Each
+    "(" and "not" nests one level; chains are loops, and _tree_to_python caps
+    tree depth.  Only factor reads "(", and a group is a sum or a predicate as
+    its tag says; a predicate group ends the sum and comparison it starts.
+    One rule reads both "or" and "and", one "not" and comparisons, one "+"
+    and "*": a "(" costs five Python frames (or_expr, not_expr, arith, factor,
+    nested), so MAX_DEPTH of them stay well inside the recursion limit."""
 
     error_type = PredicateError
 
     def or_expr(self) -> tuple:
-        node = self.and_expr()
-        while self.keyword("or"):
-            node = ("or", node, self.and_expr())
-        return node
-
-    def and_expr(self) -> tuple:
-        node = self.not_expr()
-        while self.keyword("and"):
-            node = ("and", node, self.not_expr())
-        return node
+        """A disjunction of conjunctions, and binding tighter; both chains are one loop."""
+        total, node = None, self.not_expr()
+        while node[0] not in _SUM_TAGS:
+            if self.keyword("and"):
+                node = ("and", node, self.predicate(self.not_expr()))
+            elif self.keyword("or"):
+                total = node if total is None else ("or", total, node)
+                node = self.predicate(self.not_expr())
+            else:
+                break
+        return node if total is None else ("or", total, node)
 
     def not_expr(self) -> tuple:
         if self.keyword("not"):
-            return ("not", self.nested(self.not_expr))
-        return self.comparison()
-
-    def comparison(self) -> tuple:
+            return ("not", self.predicate(self.nested(self.not_expr)))
         if self.keyword("true"):
             return ("bool", True)
         if self.keyword("false"):
             return ("bool", False)
-        if self.peek() == "(":
-            # parenthesized boolean, e.g. "(x != 7 and x != 9)"
-            save = self.pos
-            self.pos += 1
-            try:
-                node = self.nested(self.or_expr)
-                self.eat(")")
-                return node
-            except PredicateError:
-                self.pos = save
         left = self.arith()
-        self.skip_ws()
-        for op in _COMPARISONS:
-            if self.text.startswith(op, self.pos):
-                self.pos += len(op)
-                return (op if op != "==" else "=", left, self.arith())
-        self.error("expected a comparison operator")
+        if left[0] in _SUM_TAGS:
+            for op in _COMPARISONS:
+                if self.text.startswith(op, self.pos):
+                    self.pos += len(op)
+                    return (op if op != "==" else "=", left, self.sum_at(self.pos, self.arith()))
+        return left
 
     def arith(self) -> tuple:
-        node = self.term()
-        while self.peek() == "+":
+        """A sum of products, * binding tighter; both chains are one loop."""
+        total, node = None, self.factor()
+        while node[0] in _SUM_TAGS and (op := self.peek()) in ("+", "*"):
             self.pos += 1
-            node = ("+", node, self.term())
-        return node
-
-    def term(self) -> tuple:
-        node = self.factor()
-        while self.peek() == "*":
-            self.pos += 1
-            node = ("*", node, self.factor())
-        return node
+            right = self.sum_at(self.pos, self.factor())
+            if op == "*":
+                node = ("*", node, right)
+            else:
+                total, node = node if total is None else ("+", total, node), right
+        return node if total is None else ("+", total, node)
 
     def factor(self) -> tuple:
         ch = self.peek()
         if ch == "(":
             self.pos += 1
-            node = self.nested(self.arith)
+            node = self.nested(self.or_expr)
             self.eat(")")
             return node
         if ch.isdecimal():
@@ -158,6 +148,18 @@ class _PredicateParser(Scanner):
         if self.keyword("x"):
             return ("var",)
         self.error("expected a numeral, 'x', or '('")
+
+    def predicate(self, node: tuple) -> tuple:
+        if node[0] in _SUM_TAGS:
+            self.error("expected a comparison operator")
+        return node
+
+    def sum_at(self, start: int, node: tuple) -> tuple:
+        """``node``, an operand read from ``start`` on, if it is a sum; a
+        predicate is an error at its first character."""
+        if node[0] not in _SUM_TAGS:
+            self.error("expected a sum", len(self.text) - len(self.text[start:].lstrip()))
+        return node
 
 
 @lru_cache(maxsize=256)
@@ -200,7 +202,7 @@ def _tree_to_python(tree: tuple, numerals: list[int], depth: int) -> str:
 
 def parse_predicate(text: str) -> PredicateExpr:
     parser = _PredicateParser(text)
-    tree = parser.or_expr()
+    tree = parser.predicate(parser.or_expr())
     parser.end()
     return PredicateExpr(text.strip(), tree, _compile_tree(tree))
 
@@ -279,14 +281,13 @@ def check_ascending(p: Presentation, n: int, fuel: int = DEFAULT_FUEL) -> bool:
 
 def find_descending(p: Presentation, fuel: int) -> Optional[list[int]]:
     """A strictly descending chain starting at the least counterexample
-    within the window 0..fuel, of length min(fuel, what the window holds);
-    None when the predicate has no counterexample there."""
+    within the window 0..fuel, of length min(fuel, what the window holds)
+    but at least 1; None when the predicate has no counterexample there."""
     _check_fuel(fuel, fuel)
     k = p.least_counterexample(fuel)
     if k is None:
         return None
-    length = min(fuel, fuel - k + 1)
-    return list(range(k, k + length))
+    return list(range(k, k + max(1, min(fuel, fuel - k + 1))))
 
 
 class AuditReport(Value):

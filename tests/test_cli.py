@@ -65,6 +65,8 @@ def test_descend_output(capsys):
     assert out == "7 8 9 10 11 12\n"
     code, out, _ = invoke(capsys, "notation", "descend", "true")
     assert code == 0 and out == "none\n"
+    # With no fuel the chain is the counterexample 0 alone.
+    assert invoke(capsys, "--fuel", "0", "notation", "descend", "x != 0") == (0, "0\n", "")
 
 
 def test_kreisel_and_audit_output(capsys):
@@ -171,7 +173,7 @@ def test_domain_error_exit_1_and_empty_stdout(capsys):
     (("worm", "o", ""), "error: parse: empty worm text; the empty worm is written 'T'"),
     (("notation", "audit", "x !! 7", "10"), "error: predicate: expected a comparison operator at position 2"),
     (("notation", "audit", "y = 1", "10"), "error: predicate: expected a numeral, 'x', or '(' at position 0"),
-    (("notation", "audit", "(x != 1", "10"), "error: predicate: expected ')' at position 3"),
+    (("notation", "audit", "(x != 1", "10"), "error: predicate: expected ')' at position 7"),
     (("notation", "audit", "x = 1 x", "10"), "error: predicate: trailing input at position 6"),
     (("ord", "mul", "w", "-1"), "error: range: multiplier must be a natural number"),
     (("--max-nodes", "-1", "ord", "enum"), "error: range: max_nodes must be a natural number"),
@@ -180,6 +182,16 @@ def test_domain_error_exit_1_and_empty_stdout(capsys):
     (("theory", "stage", "ZFC", "0"), "error: parse: unknown theory name 'ZFC' at position 0"),
     (("notation", "kreisel", "x !=", "-1"),
      "error: predicate: expected a numeral, 'x', or '(' at position 4"),
+    # A parenthesized predicate is no sum; it is read whole before that is checked.
+    (("notation", "audit", "x + (x = 1) > 0", "10"), "error: predicate: expected a sum at position 4"),
+    (("notation", "audit", "x + (x = 1 and x > " + "9" * 4301 + ") > 0", "10"),
+     "error: range: numeral is longer than 4300 digits"),
+    # Nesting up to the cap stays within Python's recursion limit, however
+    # many operators each level holds.
+    (("notation", "audit", "x+x*(" * 100 + "x" + ")" * 100 + " = 1", "10"),
+     "error: range: predicate tree deeper than the depth cap 100"),
+    (("notation", "audit", "x = x+x*(" * 101 + "x" + ")" * 101, "10"),
+     "error: range: nesting exceeds the depth cap 100 at position 909"),
 ])
 def test_error_lines(capsys, argv, line):
     code, out, err = invoke(capsys, *argv)

@@ -100,7 +100,12 @@ THEORY_ARGS = st.one_of(
     st.builds("(rfn {} {} EA+)".format, NUMERALS, ORDINALS),
 )
 PREDICATES = st.one_of(_text(PREDICATE), _deep("not ", "x = 1", ""), _deep("(", "x", ") != 1"),
-                       _long("x", "*").map("{} >= 0".format))
+                       _long("x", "*").map("{} >= 0".format),
+                       # long bodies inside deep parentheses: a sum and an "and" chain
+                       _deep("(", " + ".join(["x"] * 3000), ") != 1"),
+                       _deep("(", " and ".join(["x != 1"] * 1000), ")"),
+                       # several operators on each level, a comparison's side among them
+                       _deep("x+x*(", "x", ")").map("{} = 1".format), _deep("x = x+x*(", "x", ")"))
 SLOTS = {"o": ORDINALS, "n": NUMERALS, "w": WORMS, "t": THEORY_ARGS, "p": PREDICATES, "x": _text(THEORY)}
 COMMANDS = [
     ("ord cmp", "oo"), ("ord add", "oo"), ("ord mul", "on"), ("ord normalize", "o"), ("ord phi", "oo"),

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -13,6 +14,7 @@ from ordlab.notation import (
     MAX_FUEL,
     PredicateExpr,
     Presentation,
+    _PredicateParser,
     _scanner_factory,
     audit,
     check_ascending,
@@ -132,35 +134,73 @@ def test_wide_numerals_and_the_depth_cap_compile():
             assert p.evaluate(n) == bool(eval_tree(p.tree, n))
 
 
-def _random_arith(rng, depth):
+def _group(text, wrap):
+    """``text``, inside redundant parentheses when ``wrap`` (a Random) says so."""
+    return f"({text})" if wrap is not None and wrap.random() < 0.3 else text
+
+
+def _random_arith(rng, depth, wrap=None):
     if depth == 0 or rng.random() < 0.3:
-        return rng.choice(["x", str(rng.randint(0, 60))])
+        return _group(rng.choice(["x", str(rng.randint(0, 60))]), wrap)
     op = rng.choice(["+", "*", "()"])
     if op == "()":
-        return f"({_random_arith(rng, depth - 1)})"
-    return f"{_random_arith(rng, depth - 1)} {op} {_random_arith(rng, depth - 1)}"
+        return f"({_random_arith(rng, depth - 1, wrap)})"
+    return f"{_random_arith(rng, depth - 1, wrap)} {op} {_random_arith(rng, depth - 1, wrap)}"
 
 
-def _random_predicate(rng, depth):
+def _random_predicate(rng, depth, wrap=None):
+    """A random predicate.  ``wrap``, a Random of its own, puts redundant
+    parentheses around some leaves, comparison sides and comparisons, so
+    the same ``rng`` state gives the same tree with or without it."""
     if depth == 0 or rng.random() < 0.3:
         if rng.random() < 0.1:
-            return rng.choice(["true", "false"])
+            return _group(rng.choice(["true", "false"]), wrap)
         op = rng.choice(["<", "<=", ">", ">=", "=", "==", "!="])
-        return f"{_random_arith(rng, 2)} {op} {_random_arith(rng, 2)}"
+        left = _group(_random_arith(rng, 2, wrap), wrap)
+        return _group(f"{left} {op} {_group(_random_arith(rng, 2, wrap), wrap)}", wrap)
     kind = rng.choice(["and", "or", "not", "()"])
     if kind == "not":
-        return f"not {_random_predicate(rng, depth - 1)}"
+        return f"not {_random_predicate(rng, depth - 1, wrap)}"
     if kind == "()":
-        return f"({_random_predicate(rng, depth - 1)})"
-    return f"{_random_predicate(rng, depth - 1)} {kind} {_random_predicate(rng, depth - 1)}"
+        return f"({_random_predicate(rng, depth - 1, wrap)})"
+    return f"{_random_predicate(rng, depth - 1, wrap)} {kind} {_random_predicate(rng, depth - 1, wrap)}"
 
 
 def test_compiled_predicate_agrees_with_ast_on_the_whole_grammar():
-    rng = random.Random(2021)
+    rng, wrap = random.Random(2021), random.Random(2022)
     for _ in range(300):
+        state = rng.getstate()
         p = parse_predicate(_random_predicate(rng, 3))
         for n in range(61):
             assert p.evaluate(n) == bool(eval_tree(p.tree, n)), (p.source, n)
+        # Redundant parentheses around sums and predicates change no tree.
+        rng.setstate(state)
+        wrapped = _random_predicate(rng, 3, wrap)
+        assert parse_predicate(wrapped).tree == p.tree, (p.source, wrapped)
+
+
+def _balanced_sum(n):
+    return "x" if n == 1 else f"({_balanced_sum(n // 2)}+{_balanced_sum(n // 2)})"
+
+
+def test_predicate_parser_reads_each_character_once(monkeypatch):
+    # factor is the one rule that reads "(" or a leaf, so a single pass
+    # calls it exactly once per "(" and once per numeral or x.
+    factor = _PredicateParser.factor
+    calls = []
+    monkeypatch.setattr(_PredicateParser, "factor", lambda self: calls.append(1) or factor(self))
+    legal = "(" * 84 + _balanced_sum(2**14) + ")" * 84 + " != 1"
+    too_deep = "(" * 99 + "(x" + " + x" * 8000 + ")" * 100 + " != 1"
+    nested = "((x = 1) or not ((x + 2) * x > (3)) and (((x)) != 4 or (1 < x)))"
+    assert len(legal) == 65706
+    for text in (legal, too_deep, nested):
+        calls.clear()
+        if text is too_deep:
+            with pytest.raises(RangeError, match="^predicate tree deeper than the depth cap 100$"):
+                parse_predicate(text)
+        else:
+            parse_predicate(text)
+        assert len(calls) == text.count("(") + len(re.findall(r"x|\d+", text))
 
 
 def test_predicate_at_depth_cap():
@@ -422,6 +462,7 @@ def test_find_descending_examples():
     chain = find_descending(kreisel_presentation("x != 7"), 50)
     assert chain[0] == 7 and len(chain) == 44
     assert find_descending(kreisel_presentation("x != 0"), 5) == [0, 1, 2, 3, 4]
+    assert find_descending(kreisel_presentation("x != 0"), 0) == [0]
 
 
 def test_find_descending_chains_verify(presentation):
