@@ -23,7 +23,7 @@ _EXPORTS = {name: (module, name) for module, names in (
     ("formulas", (
         "TOP", "And", "ConAtom", "Defined", "Equals", "Exists", "ForAll", "Formula", "Hole",
         "Implies", "Leq", "Not", "Num", "Or", "TheoryRef", "Var", "Verum", "con_star_equation",
-        "fill_hole", "free_vars", "pretty", "rosser_combination", "slowcon", "sv", "sv_star",
+        "free_vars", "pretty", "rosser_combination", "slowcon", "sv", "sv_star",
     )),
     ("notation", (
         "AuditReport", "PredicateExpr", "Presentation", "audit", "check_ascending",
@@ -32,8 +32,8 @@ _EXPORTS = {name: (module, name) for module, names in (
     ("ordinals", (
         "EPSILON0", "EQ", "GT", "LT", "OMEGA", "ONE", "ZERO", "Ordinal", "VeblenAtom", "add",
         "compare", "enumerate_terms", "format_ordinal", "from_int", "in_phi_range", "is_natural",
-        "iter_omega", "mul_nat", "next_phi_value", "omega_power", "parse_ordinal",
-        "phi_argument", "phi_plus_iter", "successor", "term_size", "to_int", "veblen",
+        "iter_omega", "mul_nat", "next_phi_value", "parse_ordinal", "phi_argument",
+        "phi_plus_iter", "successor", "term_size", "to_int", "veblen",
     )),
     ("theories", (
         "EA_PLUS", "PA", "Base", "Reflect", "ReductionRule", "RuleSet", "TheoryExpr",

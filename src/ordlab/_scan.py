@@ -32,7 +32,6 @@ DEFAULT_FUEL = 10000
 # for which str.isspace, str.isdecimal and str.isalnum (or "_") hold.
 DIGITS = re.compile(r"\d*")
 NAME = re.compile(r"\w*")
-LETTERS = re.compile(r"[^\W\d_]*")
 TOKEN = re.compile(r"[^\s()]*")
 
 
@@ -88,12 +87,15 @@ class Scanner:
         return match.group()
 
     def keyword(self, word: str) -> bool:
-        """Consume ``word`` if it is the whole next alphabetic word."""
+        """Consume ``word`` if it is the whole next word: the character after
+        it is no \\w character, neither alphanumeric nor "_"."""
         self.skip_ws()
         end = self.pos + len(word)
-        if self.text.startswith(word, self.pos) and not self.text[end:end + 1].isalpha():
-            self.pos = end
-            return True
+        if self.text.startswith(word, self.pos):
+            after = self.text[end:end + 1]
+            if not (after.isalnum() or after == "_"):
+                self.pos = end
+                return True
         return False
 
     def numeral(self) -> int:

@@ -4,8 +4,8 @@ slow consistency and the Shavrukov--Visser density operator.
 Formulas are plain immutable trees.  Con is an uninterpreted atom over a
 theory reference (optionally with an attached formula and an iteration
 power), not an arithmetized provability predicate, and F_e0 enters only
-through a definedness atom; nothing here searches for proofs.  Schematic
-inputs are Hole placeholders that can be filled later.
+through a definedness atom; nothing here searches for proofs.  A Hole is a
+schematic sentence, a placeholder that a template is built over.
 
 Rendering supports UTF-8 and a pure-ASCII mode; both are deterministic.
 """
@@ -165,40 +165,6 @@ def _free(f: Formula, bound: frozenset[str]) -> frozenset[str]:
         return _free(f.left, bound) | _free(f.right, bound)
     if isinstance(f, (ForAll, Exists)):
         return _free(f.body, bound | {f.var})
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def fill_hole(f: Formula, name: str, replacement: Formula) -> Formula:
-    """Substitute replacement for every Hole(name); raises when a binder in
-    scope would capture one of the replacement's free variables."""
-    return _fill(f, name, replacement, frozenset())
-
-
-def _fill(f: Formula, name: str, repl: Formula, bound: frozenset[str]) -> Formula:
-    if isinstance(f, Hole):
-        if f.name != name:
-            return f
-        captured = free_vars(repl) & bound
-        if captured:
-            raise CaptureError(
-                f"filling hole {name!r} would capture {sorted(captured)}"
-            )
-        return repl
-    if isinstance(f, (Verum, Equals, Leq, Defined)):
-        return f
-    if isinstance(f, ConAtom):
-        if f.theory.added is None:
-            return f
-        added = _fill(f.theory.added, name, repl, bound)
-        if added is f.theory.added:
-            return f
-        return ConAtom(TheoryRef(f.theory.base, f.theory.index, added), f.power)
-    if isinstance(f, Not):
-        return Not(_fill(f.body, name, repl, bound))
-    if isinstance(f, (And, Or, Implies)):
-        return type(f)(_fill(f.left, name, repl, bound), _fill(f.right, name, repl, bound))
-    if isinstance(f, (ForAll, Exists)):
-        return type(f)(f.var, _fill(f.body, name, repl, bound | {f.var}))
     raise TypeError(f"not a formula: {f!r}")
 
 

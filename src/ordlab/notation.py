@@ -28,16 +28,9 @@ from ._scan import DEFAULT_FUEL, MAX_DEPTH, MAX_FUEL, Scanner
 from ._value import Value, set_field
 from .errors import PredicateError, RangeError
 
-# The parser tries these in order, so each two-character operator precedes its prefix.
-_COMPARISONS = {
-    "<=": lambda a, b: a <= b,
-    "<": lambda a, b: a < b,
-    ">=": lambda a, b: a >= b,
-    ">": lambda a, b: a > b,
-    "==": lambda a, b: a == b,
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-}
+# The comparison operators the parser tries, in order: each two-character
+# operator precedes its prefix.
+_COMPARISONS = ("<=", "<", ">=", ">", "==", "=", "!=")
 _SUM_TAGS = ("num", "var", "+", "*")
 
 
@@ -54,35 +47,8 @@ class PredicateExpr(Value):
     tree: tuple
     _counterexamples: Callable[[int, int], Iterator[int]]
 
-    def __init__(self, source: str, tree: tuple,
-                 _counterexamples: Callable[[int, int], Iterator[int]]):
-        set_field(self, "source", source)
-        set_field(self, "tree", tree)
-        set_field(self, "_counterexamples", _counterexamples)
-
     def evaluate(self, n: int) -> bool:
         return next(self._counterexamples(n, n + 1), None) is None
-
-
-def eval_tree(tree: tuple, n: int):
-    """Reference evaluator for the predicate AST (the compiled form must
-    agree with this on every input)."""
-    tag = tree[0]
-    if tag in ("bool", "num"):
-        return tree[1]
-    if tag == "var":
-        return n
-    if tag == "not":
-        return not eval_tree(tree[1], n)
-    if tag == "and":
-        return eval_tree(tree[1], n) and eval_tree(tree[2], n)
-    if tag == "or":
-        return eval_tree(tree[1], n) or eval_tree(tree[2], n)
-    if tag == "+":
-        return eval_tree(tree[1], n) + eval_tree(tree[2], n)
-    if tag == "*":
-        return eval_tree(tree[1], n) * eval_tree(tree[2], n)
-    return _COMPARISONS[tag](eval_tree(tree[1], n), eval_tree(tree[2], n))
 
 
 class _PredicateParser(Scanner):

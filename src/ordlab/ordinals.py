@@ -228,10 +228,6 @@ def veblen(a: Ordinal | int, b: Ordinal | int) -> Ordinal:
     return atom_term(VeblenAtom(a, b))
 
 
-def omega_power(b: Ordinal | int) -> Ordinal:
-    return veblen(ZERO, b)
-
-
 def iter_omega(m: int, x: Ordinal | int) -> Ordinal:
     """m-fold omega power: iter_omega(0, x) = x, then w^(...) applied m times."""
     if m < 0:

@@ -20,7 +20,7 @@ import importlib.resources
 from functools import lru_cache
 from types import MappingProxyType
 
-from ._scan import LETTERS, TOKEN, within_depth
+from ._scan import NAME, TOKEN, within_depth
 from ._value import Value, set_field
 from .errors import CatalogError, RangeError, ShapeError
 from .ordinals import (
@@ -295,7 +295,7 @@ def _theory(p: _Parser) -> TheoryExpr:
         p.error(f"unknown theory name {name!r}", start)
     p.pos += 1
     start = p.pos
-    head = p.word(LETTERS)
+    head = p.word(NAME)
     if head == "rfn":
         if not p.peek().isdecimal():
             p.error("expected a reflection level")

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 import re
 import sys
@@ -18,7 +19,6 @@ from ordlab.notation import (
     _scanner_factory,
     audit,
     check_ascending,
-    eval_tree,
     find_descending,
     kreisel_presentation,
     parse_predicate,
@@ -32,6 +32,31 @@ BATTERY = [
     "x*x <= 10000 or x != 50",
     "x != 120 and x != 130",
 ]
+
+
+_COMPARE = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt,
+            "=": operator.eq, "!=": operator.ne}
+
+
+def eval_tree(tree: tuple, n: int):
+    """Reference evaluator for the predicate AST: the compiled form must
+    agree with this on every input."""
+    tag = tree[0]
+    if tag in ("bool", "num"):
+        return tree[1]
+    if tag == "var":
+        return n
+    if tag == "not":
+        return not eval_tree(tree[1], n)
+    if tag == "and":
+        return eval_tree(tree[1], n) and eval_tree(tree[2], n)
+    if tag == "or":
+        return eval_tree(tree[1], n) or eval_tree(tree[2], n)
+    if tag == "+":
+        return eval_tree(tree[1], n) + eval_tree(tree[2], n)
+    if tag == "*":
+        return eval_tree(tree[1], n) * eval_tree(tree[2], n)
+    return _COMPARE[tag](eval_tree(tree[1], n), eval_tree(tree[2], n))
 
 
 @pytest.fixture(scope="module", params=BATTERY)
@@ -51,7 +76,8 @@ def test_predicate_parsing_and_eval():
     assert r.evaluate(9) and not r.evaluate(10)
 
 
-@pytest.mark.parametrize("text", ["", "x !!", "y != 7", "x >", "x != 7 or", "7", "x"])
+@pytest.mark.parametrize("text", ["", "x !!", "y != 7", "x >", "x != 7 or", "7", "x",
+                                  "not1 = 1", "x = 1 and1 = 1", "x = 1 or2 = 2"])
 def test_predicate_parse_errors(text):
     with pytest.raises(PredicateError):
         parse_predicate(text)

@@ -29,7 +29,6 @@ from ordlab.ordinals import (
     iter_omega,
     mul_nat,
     next_phi_value,
-    omega_power,
     parse_ordinal,
     phi_plus_iter,
     single_atom,
@@ -183,7 +182,7 @@ def test_iter_omega(pool4):
     x = parse_ordinal("w+3")
     assert iter_omega(0, x) == x
     for b in pool4:
-        assert omega_power(b) == veblen(0, b) == iter_omega(1, b)
+        assert veblen(0, b) == iter_omega(1, b)
     assert iter_omega(2, ONE) == parse_ordinal("w^w")
     assert iter_omega(1, EPSILON0) == EPSILON0
 

@@ -459,6 +459,7 @@ def test_theory_format_round_trip():
 
 @pytest.mark.parametrize("text", [
     "ZFC", "(rfn EA+)", "(con 0 EA+)", "(rfn 0 1 EA+)", "(con 1 EA+) junk", "(foo 1 EA+)",
+    "(rfn3 1 EA+)", "(con1 EA+)",
 ])
 def test_parse_theory_errors(text):
     with pytest.raises(ParseError):

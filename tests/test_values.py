@@ -194,6 +194,7 @@ def test_keyword_construction_and_defaults():
     lambda: Ordinal((), ()),
     lambda: Presentation(parse_predicate(SEVEN), (0, None)),
     lambda: Presentation(parse_predicate(SEVEN), _scanned=(0, None)),
+    lambda: PredicateExpr(SEVEN),
 ])
 def test_constructors_refuse_wrong_arguments(call):
     with pytest.raises(TypeError):
