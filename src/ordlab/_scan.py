@@ -28,9 +28,8 @@ window check, audit or descent search may ask for, and the largest bound
 DEFAULT_FUEL = 10000
 """The notation lab's fuel when none is given."""
 
-# Runs for Scanner.word.  In re, \s, \d and \w match exactly the characters
-# for which str.isspace, str.isdecimal and str.isalnum (or "_") hold.
-DIGITS = re.compile(r"\d*")
+# Runs for Scanner.word.  In re, \s and \w match exactly the characters for
+# which str.isspace and str.isalnum (or "_") hold.
 NAME = re.compile(r"\w*")
 TOKEN = re.compile(r"[^\s()]*")
 
@@ -99,11 +98,14 @@ class Scanner:
         return False
 
     def numeral(self) -> int:
-        """The numeral at the cursor, under numeral_value's rule."""
+        """The numeral at the cursor, under numeral_value's rule.  A numeral
+        is a whole word: a \\w run with any character other than a decimal
+        digit is refused at its start."""
         self.skip_ws()
-        digits = self.word(DIGITS)
-        if not digits:
-            self.error("expected a numeral")
+        start = self.pos
+        digits = self.word(NAME)
+        if not digits.isdecimal():
+            self.error("expected a numeral", start)
         return numeral_value(digits)
 
     def nested(self, rule, *args):

@@ -34,7 +34,8 @@ class ShapeError(OrdlabError):
 
 
 class CatalogError(OrdlabError):
-    """Unknown name in the theory catalog, or a malformed catalog/rule file."""
+    """Unknown name in the theory catalog, or a rule set that misses or
+    repeats a transform."""
 
     code = "catalog"
 

@@ -9,14 +9,13 @@ The reduction has four transforms:
   pa-con-product:  (rfn 1 a PA), or PA for a = 0  ~>  (rfn 1 e0*(1+a) EA+), a finite,
   worm route:      a worm-shaped theory (every iteration count 1) at level 1
                    ~>  (rfn 1 o(w) EA+), o(w) the ordinal of its worm w.
-A step, or a progression stage over a level-1 stage, asks data/rules.txt for
+A step, or a progression stage over a level-1 stage, asks default_rules() for
 its rule by transform alone; the shapes above only describe the transforms.
 Mixed-level nestings no transform reaches are rejected, not approximated.
 """
 
 from __future__ import annotations
 
-import importlib.resources
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -94,7 +93,7 @@ TRANSFORMS = ("level-drop-omega-power", "concatenation", "pa-con-product", "worm
 
 
 # ---------------------------------------------------------------------------
-# Rule and catalog files
+# The rule set and the theory catalog
 
 class ReductionRule(Value):
     __slots__ = __match_args__ = ("name", "ordinal_transform", "citation")
@@ -126,54 +125,39 @@ class RuleSet(Value):
         return self._by_transform[transform]
 
 
-def parse_rules(text: str) -> RuleSet:
-    rules: dict[str, ReductionRule] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not line.startswith("rule "):
-            raise CatalogError(f"rules line {lineno}: expected 'rule <name>: ...'")
-        name, sep, rest = line[len("rule "):].partition(":")
-        if not sep:
-            raise CatalogError(f"rules line {lineno}: missing ':' after the rule name")
-        transform, sep, citation = rest.partition("cite")
-        transform = transform.strip()
-        if transform not in TRANSFORMS:
-            raise CatalogError(f"rules line {lineno}: unknown transform {transform!r}")
-        if not sep or not citation.strip():
-            raise CatalogError(f"rules line {lineno}: every rule needs a citation")
-        if transform in rules:
-            raise CatalogError(f"rules line {lineno}: a second {transform} rule could never fire")
-        rules[transform] = ReductionRule(name.strip(), transform, citation.strip())
-    return RuleSet(list(rules.values()))
-
-
-def parse_catalog(text: str) -> dict[str, TheoryExpr]:
-    catalog: dict[str, TheoryExpr] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        name, sep, expr_text = line.partition(" = ")
-        if not sep:
-            raise CatalogError(f"catalog line {lineno}: expected 'name = expression'")
-        catalog[name.strip()] = parse_theory(expr_text.strip())
-    return catalog
-
-
-def _data_text(filename: str) -> str:
-    return importlib.resources.files("ordlab.data").joinpath(filename).read_text("utf-8")
-
-
 @lru_cache(maxsize=None)
 def default_rules() -> RuleSet:
-    return parse_rules(_data_text("rules.txt"))
+    """The one rule set: every step of a reduction or a progression stage
+    asks it for the rule of its transform."""
+    return RuleSet([
+        ReductionRule("level-drop", "level-drop-omega-power",
+                      "Schmerl-style conservation: one step of Pi_{n+1} reflection"
+                      " trades for omega^alpha steps at Pi_n"),
+        ReductionRule("stage-concat", "concatenation",
+                      "composition of consistency progressions: the alpha-th stage"
+                      " over the beta-th stage is stage beta+alpha"),
+        ReductionRule("pa-con-product", "pa-con-product",
+                      "classical level-1 analysis: PA plus n-fold iterated consistency"
+                      " sits at e0*(1+n) over EA+"),
+        ReductionRule("worm-route", "worm-route",
+                      "Beklemishev, Provability algebras and proof-theoretic ordinals I"
+                      " (APAL 2004): a worm-shaped theory is measured at level 1 by the"
+                      " ordinal of its worm"),
+    ])
 
 
 @lru_cache(maxsize=None)
 def default_catalog() -> MappingProxyType[str, TheoryExpr]:
-    return MappingProxyType(parse_catalog(_data_text("catalog.txt")))
+    """The named theories, in the order `ordlab theory catalog` lists them."""
+    return MappingProxyType({name: parse_theory(text) for name, text in (
+        ("EA+", "EA+"),
+        ("PA", "PA"),
+        ("Con(EA+)", "(con 1 EA+)"),
+        ("1Con(EA+)", "(rfn 2 1 EA+)"),
+        ("2Con(EA+)", "(rfn 3 1 EA+)"),
+        ("PA+Con(PA)", "(con 1 PA)"),
+        ("PA+Con^2(PA)", "(con 2 PA)"),
+    )})
 
 
 def catalog_lookup(name: str) -> TheoryExpr:
@@ -190,7 +174,7 @@ def reduce_to_level(t: TheoryExpr, k: int) -> TheoryExpr:
     """Canonical form Reflect(k, gamma, EA+) of t (or EA+ itself when gamma
     would be 0), via level drops and concatenation, or the worm route at a
     level gap; PA-based input reduces through pa-con-product.  Every step
-    and route is authorized by the rule data/rules.txt gives its transform."""
+    and route is authorized by the rule default_rules() gives its transform."""
     if k < 1:
         raise ShapeError("reflection level must be >= 1")
     chain = []  # (level, iterations), from the outermost reflection inward

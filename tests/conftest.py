@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import settings
 from ordlab.cli import build_parser
 
 from ordlab.ordinals import add, compare, enumerate_terms, from_int, in_phi_range, veblen
+from ordlab.worms import Worm
 
 # Every Hypothesis test draws the same examples on every run and keeps no
 # example database, so a failure anywhere reproduces everywhere.  Each
@@ -37,6 +39,18 @@ def oracle_next_phi(a, beta, candidates):
         if compare(t, least) < 0:
             least = t
     return least
+
+
+def worms_up_to(length):
+    """Every worm of at most ``length`` letters from 0, 1 and 2, shortest first."""
+    for n in range(length + 1):
+        for letters in itertools.product((0, 1, 2), repeat=n):
+            yield Worm(letters)
+
+
+def nest(opening: str, core: str, closing: str, depth: int) -> str:
+    """``core`` inside ``depth`` pairs of ``opening`` and ``closing``."""
+    return opening * depth + core + closing * depth
 
 
 @pytest.fixture(scope="session")

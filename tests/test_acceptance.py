@@ -4,13 +4,12 @@ Run as  pytest tests/test_acceptance.py -v -s  to see the per-criterion lines;
 stated time budgets are asserted with perf counters.
 """
 
-import itertools
 import random
 import time
 
 import pytest
 
-from conftest import oracle_next_phi, random_term
+from conftest import oracle_next_phi, random_term, worms_up_to
 from ordlab.cli import run
 from ordlab.formulas import (
     TOP,
@@ -56,12 +55,6 @@ SEED = 20240101
 
 def _announce(number, message):
     print(f"criterion {number}: PASS — {message}")
-
-
-def _all_worms(max_len, alphabet=(0, 1, 2)):
-    for n in range(max_len + 1):
-        for letters in itertools.product(alphabet, repeat=n):
-            yield Worm(letters)
 
 
 def test_criterion_01_ordinal_order_laws():
@@ -160,7 +153,7 @@ def test_criterion_03_next_phi_oracle():
 
 def test_criterion_04_worm_suite():
     start = time.perf_counter()
-    pool = list(_all_worms(5))
+    pool = list(worms_up_to(5))
     values = {w: worm_ordinal(w) for w in pool}
 
     for w in pool:
@@ -205,7 +198,7 @@ def test_criterion_05_classical_calibration_values(capsys):
 
 def test_criterion_06_worm_engine_coherence():
     count = 0
-    for w in _all_worms(4):
+    for w in worms_up_to(4):
         assert pi_ordinal(theory_of_worm(w), 1) == worm_ordinal(w)
         count += 1
     _announce(6, f"reduction engine matches o(.) on all {count} worms of length <= 4")

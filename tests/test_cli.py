@@ -50,6 +50,9 @@ def invoke(capsys, *argv):
     (("dilator", "eval", "0", "0"), "e0"),
     (("notation", "descend", "x != 7"), None),  # checked separately
     (("ord", "cmp", "w", "e0"), "LT"),
+    (("theory", "catalog"), "\n".join([
+        "EA+ = EA+", "PA = PA", "Con(EA+) = (con 1 EA+)", "1Con(EA+) = (rfn 2 1 EA+)",
+        "2Con(EA+) = (rfn 3 1 EA+)", "PA+Con(PA) = (con 1 PA)", "PA+Con^2(PA) = (con 2 PA)"])),
 ])
 def test_success_outputs(capsys, argv, expected):
     code, out, err = invoke(capsys, *argv)
@@ -192,6 +195,13 @@ def test_domain_error_exit_1_and_empty_stdout(capsys):
      "error: range: predicate tree deeper than the depth cap 100"),
     (("notation", "audit", "x = x+x*(" * 101 + "x" + ")" * 101, "10"),
      "error: range: nesting exceeds the depth cap 100 at position 909"),
+    # A numeral is a whole word: a numeral glued to the word after it is
+    # refused at its start.
+    (("theory", "pi-ordinal", "(con 1PA)", "1"), "error: parse: expected a numeral at position 5"),
+    (("theory", "pi-ordinal", "(rfn 2 1EA+)", "1"), "error: parse: expected a numeral at position 7"),
+    (("notation", "kreisel", "x = 1and x = 2", "5"), "error: predicate: expected a numeral at position 4"),
+    (("ord", "normalize", "12w"), "error: parse: expected a numeral at position 0"),
+    (("notation", "audit", "2x = 1", "10"), "error: predicate: expected a numeral at position 0"),
 ])
 def test_error_lines(capsys, argv, line):
     code, out, err = invoke(capsys, *argv)
@@ -618,7 +628,7 @@ def test_subprocess_byte_identical_reruns():
     ("from ordlab import cli; cli.run(['worm', 'o', '1 0 1'])",
      ["_scan", "_value", "cli", "errors", "ordinals", "worms"]),
     ("from ordlab import cli; cli.run(['theory', 'pi-ordinal', 'PA+Con(PA)', '1'])",
-     ["_scan", "_value", "cli", "data", "errors", "ordinals", "theories", "worms"]),
+     ["_scan", "_value", "cli", "errors", "ordinals", "theories", "worms"]),
 ])
 def test_import_boundary(step, loaded):
     report = ("import sys\n"

@@ -16,7 +16,7 @@ from ordlab.cli import run
 from ordlab.errors import OrdlabError
 from ordlab.notation import parse_predicate
 from ordlab.ordinals import parse_ordinal
-from ordlab.theories import TRANSFORMS, parse_catalog, parse_rules, parse_theory
+from ordlab.theories import parse_theory
 from ordlab.worms import parse_worm
 
 # "²" is a digit to str.isdigit but not to int(); "١" (Arabic-Indic one) is
@@ -28,7 +28,6 @@ THEORY = ORDINAL + ["(rfn ", "(con ", "EA+", "PA"]
 WORM = DIGITS + [" ", "\t", "T"]
 PREDICATE = DIGITS + [" ", "x", "+", "*", "<", "<=", ">", ">=", "=", "!=", "(", ")",
                       "and", "or", "not", "true", "false"]
-RULE = DIGITS + [" ", "rule ", "r", ":", "cite", "#", "\n", *TRANSFORMS]
 
 
 def _text(alphabet: list[str]):
@@ -36,26 +35,15 @@ def _text(alphabet: list[str]):
 
 
 # Text reaches an inner rule only behind the right opening, so most theories
-# open with a head, and most rules and catalog lines keep their frame.
+# open with a head.
 THEORIES = st.builds(lambda head, rest: (head + rest)[:60],
                      st.sampled_from(["", "(rfn ", "(con "]), _text(THEORY))
-RULES = st.one_of(
-    st.lists(st.builds("rule r: {} cite {}".format, st.sampled_from(TRANSFORMS), _text(RULE)),
-             max_size=len(TRANSFORMS)).map("\n".join),
-    _text(RULE),
-)
-CATALOG = st.lists(
-    st.one_of(THEORIES.map("name = {}".format), st.sampled_from(["", "# note", "name"])),
-    max_size=3,
-).map("\n".join)
 
 CASES = [
     (parse_ordinal, _text(ORDINAL)),
     (parse_worm, _text(WORM)),
     (parse_theory, THEORIES),
     (parse_predicate, _text(PREDICATE)),
-    (parse_rules, RULES),
-    (parse_catalog, CATALOG),
 ]
 
 

@@ -4,7 +4,7 @@ from functools import cmp_to_key
 
 import pytest
 
-from conftest import oracle_next_phi, random_term
+from conftest import nest, oracle_next_phi, random_term
 from ordlab import ordinals
 from ordlab._scan import MAX_DEPTH
 from ordlab.errors import ParseError, RangeError
@@ -93,19 +93,15 @@ def test_range_errors_name_the_bad_argument(make, message):
         make()
 
 
-def _nest(opening: str, core: str, closing: str, depth: int) -> str:
-    return opening * depth + core + closing * depth
-
-
 @pytest.mark.parametrize("opening, core, closing", [
     ("(", "1", ")"), ("w^", "1", ""), ("phi(", "0", ",0)"), ("phi(0,", "1", ")"), ("(w^", "1", ")"),
 ])
 def test_nesting_cap(opening, core, closing):
     # "(w^" nests two levels per step.
     depth = MAX_DEPTH // 2 if opening == "(w^" else MAX_DEPTH
-    parse_ordinal(_nest(opening, core, closing, depth))
+    parse_ordinal(nest(opening, core, closing, depth))
     with pytest.raises(RangeError):
-        parse_ordinal(_nest(opening, core, closing, depth + 1))
+        parse_ordinal(nest(opening, core, closing, depth + 1))
 
 
 # --- comparison ---------------------------------------------------------------

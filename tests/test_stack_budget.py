@@ -12,6 +12,7 @@ README's "Limits" section states."""
 import sys
 import threading
 
+from conftest import nest
 from ordlab import worms
 from ordlab._scan import MAX_DEPTH
 from ordlab.errors import RangeError
@@ -74,22 +75,18 @@ def _reduce(theory):
     return reduce_to_level(theory, 1)
 
 
-def _nest(opening: str, inner: str, closing: str, n: int) -> str:
-    return opening * n + inner + closing * n
-
-
 def _rfn(levels) -> str:
     return "".join(f"(rfn {level} 1 " for level in levels) + "EA+" + ")" * len(levels)
 
 
-PREDICATE_PARENS = lambda n: _nest("(", "x = 1", ")", n)
-PREDICATE_SUMS = lambda n: _nest("x+x*(", "x", ")", n) + " = 1"
+PREDICATE_PARENS = lambda n: nest("(", "x = 1", ")", n)
+PREDICATE_SUMS = lambda n: nest("x+x*(", "x", ")", n) + " = 1"
 PREDICATE_NOTS = lambda n: "not " * n + "x = 1"
-ORDINAL_PARENS = lambda n: _nest("(", "1", ")", n)
+ORDINAL_PARENS = lambda n: nest("(", "1", ")", n)
 ORDINAL_TOWER = lambda n: "w^" * n + "1"
-ORDINAL_INDEXES = lambda n: _nest("phi(", "1", ",0)", n)
-ORDINAL_ARGUMENTS = lambda n: _nest("phi(1,", "1", ")", n)
-THEORY_CONS = lambda n: _nest("(con 1 ", "EA+", ")", n)
+ORDINAL_INDEXES = lambda n: nest("phi(", "1", ",0)", n)
+ORDINAL_ARGUMENTS = lambda n: nest("phi(1,", "1", ")", n)
+THEORY_CONS = lambda n: nest("(con 1 ", "EA+", ")", n)
 THEORY_RISING = lambda n: _rfn(range(1, n + 1))
 THEORY_FALLING = lambda n: _rfn(range(n, 0, -1))
 

@@ -1,7 +1,6 @@
-import itertools
-
 import pytest
 
+from conftest import worms_up_to
 from ordlab._scan import MAX_DEPTH
 from ordlab.errors import ParseError, RangeError, WormError
 from ordlab.ordinals import (
@@ -31,12 +30,6 @@ from ordlab.worms import (
     worm_of_ordinal,
     worm_ordinal,
 )
-
-
-def worms_up_to(length, alphabet=(0, 1, 2)):
-    for n in range(length + 1):
-        for letters in itertools.product(alphabet, repeat=n):
-            yield Worm(letters)
 
 
 # --- ordinal assignment ---------------------------------------------------------
