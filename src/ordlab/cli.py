@@ -3,13 +3,17 @@
 Success output goes to stdout only; diagnostics to stderr.  Exit codes:
 0 success, 1 domain error (one machine-parsable "error: <code>: ..." line),
 2 usage error.
+
+A well-formed argv is read straight from the command table; argparse, which
+prints every help, usage and error text, loads only for any other argv.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
+import os
 import sys
+from types import SimpleNamespace
 
 from . import _module
 from ._scan import DEFAULT_FUEL, MAX_NUMERAL_DIGITS
@@ -30,15 +34,22 @@ _GROUPS = {
 
 # Readers: each turns an argument's text into a value.  They and run() are
 # the only places that load a library module: this module itself imports
-# just the limits and the error types.
+# just the limits and the error types, and argparse loads only when
+# build_parser() runs, for an argv the command table does not read itself.
+
+def _numeral(text: str) -> int | None:
+    """The value of a numeral under the numeral rule, or None."""
+    return int(text) if text.isdecimal() and len(text) <= MAX_NUMERAL_DIGITS else None
+
 
 def _integer(text: str) -> int:
     """An integer argument: an optional "-", then a numeral under the numeral
     rule; a refusal is a usage error in argparse's own words for int()."""
-    digits = text[1:] if text.startswith("-") else text
-    if not digits.isdecimal() or len(digits) > MAX_NUMERAL_DIGITS:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    return int(text)
+    value = _numeral(text.removeprefix("-"))
+    if value is None:
+        from argparse import ArgumentTypeError  # only argparse calls this reader
+        raise ArgumentTypeError(f"invalid int value: {text!r}")
+    return -value if text.startswith("-") else value
 
 
 def _ordinal(text: str):
@@ -90,6 +101,15 @@ def _arg(name: str, **options):
 
 
 _TOP = _arg("--top", action="store_true", help="instantiate at verum")
+
+# The options every command takes, before its group.
+_OPTIONS = [
+    _arg("--ascii", action="store_true", help="render formulas in pure ASCII"),
+    _arg("--fuel", type=_integer, default=DEFAULT_FUEL, metavar="N",
+         help=f"search/window cap for the notation lab (default {DEFAULT_FUEL})"),
+    _arg("--max-nodes", type=_integer, default=6, metavar="N",
+         help="structural-size bound for 'ord enum' (default 6)"),
+]
 
 # The command table: one row per command, giving its group, name, help,
 # arguments and the call that makes the value to print.  A call gets its
@@ -152,20 +172,89 @@ _COMMANDS = [
 ]
 
 
+def _reading(arguments):
+    """An argument list as _read() reads it: each option's flag mapped to its
+    dest and whether it takes an integer (else it is a switch), each
+    positional's dest, whether it is an integer and whether it may be left
+    out, the count that may not, and every dest's default, as argparse
+    derives them."""
+    options, positionals, defaults = {}, [], {}
+    for name, opts in arguments:
+        integer = opts.get("type") is _integer
+        if name.startswith("-"):
+            dest = name[2:].replace("-", "_")
+            options[name] = dest, integer
+        else:
+            dest = name
+            positionals.append((dest, integer, opts.get("nargs") == "?"))
+        defaults[dest] = opts.get("default", False if opts.get("action") == "store_true" else None)
+    required = sum(not optional for *_, optional in positionals)
+    return options, positionals, required, defaults
+
+
+_GLOBAL = _reading(_OPTIONS)
+_READINGS = {(group, name): (_reading(arguments), _GROUPS[group][1], call)
+             for group, name, _, arguments, call in _COMMANDS}
+
+
+def _read_options(argv, i, options, values):
+    """Reads the options at argv[i:] up to the next word into ``values``,
+    taking each from ``options`` so that a repeat is refused; the index of
+    that word, or None for a token argparse must read."""
+    while i < len(argv) and argv[i].startswith("-"):
+        dest, integer = options.pop(argv[i], (None, False))
+        if dest is None:
+            return None
+        if integer:
+            i += 1
+            values[dest] = _numeral(argv[i]) if i < len(argv) else None
+            if values[dest] is None:
+                return None
+        else:
+            values[dest] = True
+        i += 1
+    return i
+
+
+def _read(argv: list[str]):
+    """The namespace build_parser() makes of ``argv``, if argv is the options
+    in their space-separated form, each at most once, then a command of the
+    table and exactly its arguments; None for any other argv, which argparse
+    must read, to answer it or to print its help or usage error."""
+    options, _, _, defaults = _GLOBAL
+    values = dict(defaults)
+    i = _read_options(argv, 0, dict(options), values)
+    if i is None or tuple(argv[i:i + 2]) not in _READINGS:
+        return None
+    (options, positionals, required, defaults), module, call = _READINGS[argv[i], argv[i + 1]]
+    values.update(defaults, group=argv[i], command=argv[i + 1], module=module, call=call)
+    options, words = dict(options), []
+    i = _read_options(argv, i + 2, options, values)
+    while i is not None and i < len(argv):
+        words.append(argv[i])
+        i = _read_options(argv, i + 1, options, values)
+    if i is None or not required <= len(words) <= len(positionals):
+        return None
+    for (dest, integer, _), word in zip(positionals, words):
+        values[dest] = _numeral(word) if integer else word
+        if values[dest] is None:
+            return None
+    return SimpleNamespace(**values)
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
     """The whole argparse tree, built once per process: parsing leaves it as
     it was, and help text reads the terminal width when it is printed."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="ordlab",
         description="Symbolic ordinal notations, worms, reflection theories, "
         "pathological presentations, and formula constructions.",
     )
-    parser.add_argument("--ascii", action="store_true", help="render formulas in pure ASCII")
-    parser.add_argument("--fuel", type=_integer, default=DEFAULT_FUEL, metavar="N",
-                        help=f"search/window cap for the notation lab (default {DEFAULT_FUEL})")
-    parser.add_argument("--max-nodes", type=_integer, default=6, dest="max_nodes", metavar="N",
-                        help="structural-size bound for 'ord enum' (default 6)")
+    for name, options in _OPTIONS:
+        parser.add_argument(name, **options)
     groups = parser.add_subparsers(dest="group", required=True, metavar="GROUP")
     commands = {}
     for group, name, help_text, arguments, call in _COMMANDS:
@@ -181,11 +270,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    if argv is None:
+        argv = sys.argv[1:]
+    ns = _read(argv)
+    if ns is None:
+        try:
+            ns = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     try:
         value = ns.call(_module(ns.module), ns)
     except OrdlabError as exc:
@@ -200,7 +292,18 @@ def main():
     for stream in (sys.stdout, sys.stderr):
         if hasattr(stream, "reconfigure"):
             stream.reconfigure(encoding="utf-8")
-    raise SystemExit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except OSError as exc:
+        # stdout is closed (its reader stopped early, as `| head` does) or
+        # cannot be written.  Point it at the null device, so that the flush
+        # at interpreter exit does not fail again on the same output.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: output: {exc.strerror}", file=sys.stderr)
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

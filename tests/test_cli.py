@@ -1,16 +1,22 @@
+import contextlib
 import doctest
+import io
 import os
 import shlex
 import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ordlab
+from ordlab import cli
 from ordlab._scan import MAX_DEPTH
-from ordlab.cli import build_parser, run
+from ordlab.cli import _COMMANDS, _read, build_parser, run
 from ordlab.theories import EA_PLUS, default_catalog
 
 GOLDEN_CORPUS = [
@@ -542,6 +548,89 @@ def test_one_parser_serves_every_call(capsys, columns_80):
     assert first[("--help",)] == (0, TOP_HELP, "")
 
 
+# --- the command table's own reader ------------------------------------------------
+
+# argv from the table's vocabulary, weighted towards what the reader must leave
+# to argparse: prefixes of names, "=" forms, abbreviations, repeats, misplaced
+# options, lone dashes, negative numbers, wrong counts and bad integers.
+NAMES = sorted({name for group, command, *_ in _COMMANDS for name in (group, command)})
+VALUES = ["w", "e0", "w^^", "1 0 1", "PA", "1Con(EA+)", "x != 7", "x < 3", "0", "3", "٣", "1_0", "+3", " 2 ",
+          "²", "", "x"]
+WORDS = NAMES + [name[:2] for name in NAMES] + VALUES
+INTEGERS = ["0", "3", "٣", "1_0", "-5"]
+DASHES = ["--ascii", "--fuel", "--max-nodes", "--top", "--fuel=3", "--max-nodes=2", "--top=1", "--asc",
+          "--fu", "--max", "--to", "--", "-h", "--help", "-5", "-٣", "-", "-x y"]
+OPTIONS = [["--ascii"], ["--fuel", "3"], ["--fuel", "٣"], ["--max-nodes", "2"], ["--fuel", "1_0"],
+           ["--fuel", "-3"], ["--fuel=3"], ["--fu", "3"], ["--top"]]
+TOKENS = st.sampled_from(DASHES + WORDS)
+
+
+def _near_plain(row):
+    """A command's argv: options, its names and a value for each of its
+    arguments (an integer where it takes one), perhaps with the last
+    argument dropped or one more added."""
+    group, command, _, arguments, _ = row
+    slots = [st.sampled_from(["--top"] if name == "--top" else INTEGERS if options.get("type") else VALUES)
+             for name, options in arguments]
+    return st.builds(
+        lambda options, args, drop, extra: (
+            [t for o in options for t in o] + [group, command] + list(args)[:len(args) - drop] + extra),
+        st.lists(st.sampled_from(OPTIONS), max_size=2), st.tuples(*slots), st.integers(0, 1),
+        st.lists(st.sampled_from(VALUES + ["--top", "-5"]), max_size=1))
+
+
+READER_ARGV = st.one_of(st.lists(TOKENS, max_size=6), st.sampled_from(_COMMANDS).flatmap(_near_plain))
+
+
+def _outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(deadline=None, max_examples=800)
+@given(READER_ARGV)
+def test_reader_declines_or_agrees_with_argparse(argv):
+    ns = _read(argv)
+    if ns is not None:
+        assert vars(ns) == vars(build_parser().parse_args(argv))
+    with mock.patch.object(cli, "_read", lambda argv: None):
+        expected = _outcome(argv)
+    assert _outcome(argv) == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["ord", "cmp", "w", "e0"], ["--ascii", "--fuel", "3", "--max-nodes", "2", "ord", "enum"],
+    ["formula", "sv", "--top"], ["formula", "constar"], ["formula", "constar", "a", "b"],
+    ["theory", "catalog"], ["theory", "catalog", "PA"], ["ord", "mul", "w", "٣"], ["ord", "cmp", "", "w"]])
+def test_reader_reads_plain_argv(argv):
+    assert vars(_read(argv)) == vars(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["ord", "cmp", "--help"], ["--", "ord", "cmp", "w", "e0"], ["ord", "cmp", "--", "w", "e0"],
+    ["--fuel=3", "ord", "enum"], ["--fu", "3", "ord", "enum"], ["--ascii", "--ascii", "ord", "enum"],
+    ["formula", "sv", "--top", "--top"], ["ord", "--ascii", "enum"], ["ord", "enum", "--ascii"],
+    ["ord", "cmp", "--top", "w", "e0"], ["ord", "mul", "w", "-5"], ["ord", "cmp", "-", "w"],
+    ["--fuel", "-3", "ord", "enum"], ["--fuel"], ["--fuel", "1_0", "ord", "enum"], ["ord", "mul", "w", ""],
+    ["ord", "cmp", "w"], ["ord", "cmp", "w", "e0", "1"], ["formula", "constar", "a", "b", "c"],
+    ["ord"], ["or", "cmp", "w", "e0"], ["ord", "frobnicate"], ["ord", "mul", "w", "9" * 4301]])
+def test_reader_leaves_argparse_the_rest(argv):
+    assert _read(argv) is None
+
+
+def test_run_without_argv_reads_sys_argv(capsys, monkeypatch):
+    fast = ["ord", "cmp", "w", "e0"]
+    monkeypatch.setattr(sys, "argv", ["ordlab", *fast])
+    assert _read(fast) is not None
+    assert (run(), *capsys.readouterr()) == (0, "LT\n", "")
+    fallback = ["--fuel=12", "notation", "descend", "x != 7"]
+    monkeypatch.setattr(sys, "argv", ["ordlab", *fallback])
+    assert _read(fallback) is None
+    assert (run(), *capsys.readouterr()) == (0, "7 8 9 10 11 12\n", "")
+
+
 def test_readme_shows_every_command(registered_commands):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
@@ -564,20 +653,21 @@ def test_readme_python_example_runs():
 
 # --- real process -------------------------------------------------------------------
 
-def _run_python(*args):
+def _run_python(*args, stdout=subprocess.PIPE):
     # The child imports the same ordlab as this process, installed or not.
     src = str(Path(ordlab.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         timeout=60,
         env={**os.environ, "PYTHONPATH": path},
     )
 
 
-def _run_process(*argv):
-    return _run_python("-m", "ordlab.cli", *argv)
+def _run_process(*argv, stdout=subprocess.PIPE):
+    return _run_python("-m", "ordlab.cli", *argv, stdout=stdout)
 
 
 # Among them the four commands of the benchmark's cold-start probe.
@@ -606,6 +696,28 @@ def test_subprocess_error_discipline():
     assert proc.stdout == b""
 
 
+# A stdout that cannot take the answer ends the command with exit 1: silently
+# when its reader has gone, as `| head` leaves it, and with one error line when
+# the write fails; never with a traceback.
+@pytest.mark.parametrize("argv", [("--max-nodes", "8", "ord", "enum"), ("ord", "cmp", "w", "1")])
+def test_subprocess_closed_stdout(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _run_process(*argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_subprocess_full_stdout():
+    with open("/dev/full", "wb") as full:
+        proc = _run_process("ord", "cmp", "w", "1", stdout=full)
+    assert proc.returncode == 1
+    assert proc.stderr.decode("utf-8").splitlines() == ["error: output: No space left on device"]
+
+
 def test_subprocess_byte_identical_reruns():
     first = _run_process("--max-nodes", "4", "ord", "enum")
     second = _run_process("--max-nodes", "4", "ord", "enum")
@@ -616,7 +728,7 @@ def test_subprocess_byte_identical_reruns():
 # The ordlab modules a fresh interpreter has loaded after each step: a command
 # imports only the library modules it uses, and worms never imports theories.
 # No step loads dataclasses or inspect, whose imports would add several
-# milliseconds to every cold command.
+# milliseconds to every cold command, and only a usage error loads argparse.
 @pytest.mark.parametrize("step, loaded", [
     ("import ordlab", []),
     ("import ordlab; assert not hasattr(ordlab, 'cli')", []),
@@ -629,13 +741,15 @@ def test_subprocess_byte_identical_reruns():
      ["_scan", "_value", "cli", "errors", "ordinals", "worms"]),
     ("from ordlab import cli; cli.run(['theory', 'pi-ordinal', 'PA+Con(PA)', '1'])",
      ["_scan", "_value", "cli", "errors", "ordinals", "theories", "worms"]),
+    ("from ordlab import cli; assert cli.run(['ord', 'frobnicate']) == 2",
+     ["_scan", "cli", "errors"]),
 ])
 def test_import_boundary(step, loaded):
     report = ("import sys\n"
               "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'ordlab'))\n"
-              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+              "print(sorted({'argparse', 'dataclasses', 'inspect'} & set(sys.modules)))")
     proc = _run_python("-c", f"{step}\n{report}")
     assert proc.returncode == 0, proc.stderr
     *_, modules, machinery = proc.stdout.decode("utf-8").splitlines()
     assert modules == repr(["ordlab", *(f"ordlab.{m}" for m in loaded)])
-    assert machinery == "[]"
+    assert machinery == ("['argparse']" if "frobnicate" in step else "[]")

@@ -104,8 +104,10 @@ COMMANDS = [
     ("formula sv", ""), ("formula sv --top", ""), ("formula svstar", ""), ("formula rosser", ""),
     ("formula constar", ""), ("formula constar", "x"), ("formula constar", "xx"),
 ]
+# The dash-heavy flags reach argparse, which reads what the command table does not.
 FLAGS = st.lists(st.sampled_from([["--ascii"], ["--fuel", "50"], ["--fuel", "2000000"], ["--max-nodes", "9"],
-                                  ["--max-nodes", "11"]]),
+                                  ["--max-nodes", "11"], ["--fuel=50"], ["--fu", "50"], ["--ascii", "--ascii"],
+                                  ["--"], ["-h"], ["-5"], ["-"], [""], ["--top"]]),
                  max_size=2)
 ARGVS = st.builds(
     lambda flags, argv: [f for flag in flags for f in flag] + argv,
