@@ -10,8 +10,9 @@ prints every help, usage and error text, loads only for any other argv.
 
 from __future__ import annotations
 
+import contextlib
 import functools
-import os
+import io
 import sys
 from types import SimpleNamespace
 
@@ -288,21 +289,22 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main():
-    # Output is UTF-8 by contract (--ascii is the fallback), whatever the locale.
-    for stream in (sys.stdout, sys.stderr):
-        if hasattr(stream, "reconfigure"):
-            stream.reconfigure(encoding="utf-8")
-    try:
+    # run() prints into buffers, each written once, stdout first, as UTF-8 with
+    # an undecodable argument byte escaped as --ascii escapes it.  A stdout that
+    # fails is exit 1, with one error line unless its reader has gone (`| head`).
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run()
-        sys.stdout.flush()
-    except OSError as exc:
-        # stdout is closed (its reader stopped early, as `| head` does) or
-        # cannot be written.  Point it at the null device, so that the flush
-        # at interpreter exit does not fail again on the same output.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        if not isinstance(exc, BrokenPipeError):
-            print(f"error: output: {exc.strerror}", file=sys.stderr)
-        code = 1
+    for fd, buffer in (1, out), (2, err):
+        try:
+            if data := buffer.getvalue().encode("utf-8", "backslashreplace"):
+                with open(fd, "wb", closefd=False) as stream:
+                    stream.write(data)
+        except OSError as exc:
+            if fd == 1:
+                code = 1
+                if not isinstance(exc, BrokenPipeError):
+                    print(f"error: output: {exc.strerror}", file=err)
     raise SystemExit(code)
 
 

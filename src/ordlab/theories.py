@@ -171,10 +171,17 @@ def catalog_lookup(name: str) -> TheoryExpr:
 # Reduction and ordinals
 
 def reduce_to_level(t: TheoryExpr, k: int) -> TheoryExpr:
-    """Canonical form Reflect(k, gamma, EA+) of t (or EA+ itself when gamma
-    would be 0), via level drops and concatenation, or the worm route at a
-    level gap; PA-based input reduces through pa-con-product.  Every step
-    and route is authorized by the rule default_rules() gives its transform."""
+    """Canonical form Reflect(k, gamma, EA+) of t, gamma = pi_ordinal(t, k)
+    (EA+ itself when gamma is 0)."""
+    gamma = pi_ordinal(t, k)
+    return EA_PLUS if gamma.is_zero() else Reflect(k, gamma, EA_PLUS)
+
+
+def pi_ordinal(t: TheoryExpr, k: int) -> Ordinal:
+    """Pi_k proof-theoretic ordinal: the gamma with t equivalent to
+    Reflect(k, gamma, EA+), reached by level drops and concatenation, the worm
+    route at a level gap, or pa-con-product for PA-based input; each step is
+    authorized by the rule default_rules() gives its transform."""
     if k < 1:
         raise ShapeError("reflection level must be >= 1")
     chain = []  # (level, iterations), from the outermost reflection inward
@@ -192,9 +199,7 @@ def reduce_to_level(t: TheoryExpr, k: int) -> TheoryExpr:
             raise ShapeError(f"{format_theory(t)} is outside the supported shapes at level {k}")
         default_rules().authorize("worm-route")
         gamma = worm_ordinal(Worm(tuple(level - 1 for level, _ in chain)))
-    if gamma.is_zero():
-        return EA_PLUS
-    return Reflect(k, gamma, EA_PLUS)
+    return gamma
 
 
 def _reduce_ea(chain: list[tuple[int, Ordinal]], k: int) -> Ordinal | None:
@@ -216,7 +221,7 @@ def _reduce_ea(chain: list[tuple[int, Ordinal]], k: int) -> Ordinal | None:
     return gamma
 
 
-def _reduce_pa(chain: list[tuple[int, Ordinal]], k: int) -> TheoryExpr:
+def _reduce_pa(chain: list[tuple[int, Ordinal]], k: int) -> Ordinal:
     if k != 1:
         raise ShapeError("PA-based expressions are analyzed at level 1 only")
     total = ZERO
@@ -227,14 +232,7 @@ def _reduce_pa(chain: list[tuple[int, Ordinal]], k: int) -> TheoryExpr:
     if not is_natural(total):
         raise ShapeError("transfinite iteration over PA is outside the catalog")
     default_rules().authorize("pa-con-product")
-    return Reflect(1, mul_nat(EPSILON0, 1 + to_int(total)), EA_PLUS)
-
-
-def pi_ordinal(t: TheoryExpr, k: int) -> Ordinal:
-    """Pi_k proof-theoretic ordinal: the number of level-k reflection
-    iterations over EA+ that t reduces to."""
-    reduced = reduce_to_level(t, k)
-    return ZERO if isinstance(reduced, Base) else reduced.iterations
+    return mul_nat(EPSILON0, 1 + to_int(total))
 
 
 def progression_stage(t: TheoryExpr, alpha: Ordinal) -> TheoryExpr:

@@ -653,7 +653,7 @@ def test_readme_python_example_runs():
 
 # --- real process -------------------------------------------------------------------
 
-def _run_python(*args, stdout=subprocess.PIPE):
+def _run_python(*args, stdout=subprocess.PIPE, **popen):
     # The child imports the same ordlab as this process, installed or not.
     src = str(Path(ordlab.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -663,11 +663,20 @@ def _run_python(*args, stdout=subprocess.PIPE):
         stderr=subprocess.PIPE,
         timeout=60,
         env={**os.environ, "PYTHONPATH": path},
+        **popen,
     )
 
 
-def _run_process(*argv, stdout=subprocess.PIPE):
-    return _run_python("-m", "ordlab.cli", *argv, stdout=stdout)
+def _run_process(*argv, **popen):
+    return _run_python("-m", "ordlab.cli", *argv, **popen)
+
+
+def _assert_ends(proc, code, stderr):
+    """proc exited with ``code`` and wrote exactly ``stderr``, so no traceback
+    and no report of an exception ignored at exit."""
+    assert b"Traceback" not in proc.stderr
+    assert b"Exception ignored" not in proc.stderr
+    assert (proc.returncode, proc.stderr.decode("utf-8")) == (code, stderr)
 
 
 # Among them the four commands of the benchmark's cold-start probe.
@@ -716,6 +725,44 @@ def test_subprocess_full_stdout():
         proc = _run_process("ord", "cmp", "w", "1", stdout=full)
     assert proc.returncode == 1
     assert proc.stderr.decode("utf-8").splitlines() == ["error: output: No space left on device"]
+
+
+# A closed stdout (`>&-`) is a failed write when there is an answer to write,
+# and no write at all when there is none.
+@pytest.mark.skipif(os.name != "posix", reason="closes fd 1 in the child")
+@pytest.mark.parametrize("argv, stderr", [
+    (("ord", "cmp", "w", "1"), "error: output: Bad file descriptor\n"),
+    (("ord", "cmp", "w^^", "0"), "error: parse: expected an ordinal term at position 2\n"),
+], ids=["answer", "no-answer"])
+def test_subprocess_no_stdout(argv, stderr):
+    proc = _run_process(*argv, stdout=None, preexec_fn=lambda: os.close(1))
+    _assert_ends(proc, 1, stderr)
+
+
+# argparse prints help itself; unbuffered, a failed write of it is not lost.
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_subprocess_full_stdout_help(monkeypatch):
+    monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    with open("/dev/full", "wb") as full:
+        proc = _run_process("-h", stdout=full)
+    _assert_ends(proc, 1, "error: output: No space left on device\n")
+
+
+# An undecodable argument byte reaches the program as a lone surrogate and is
+# written as the escape --ascii uses, in usage errors and answers alike.
+@pytest.mark.skipif(os.name != "posix", reason="bytes arguments")
+@pytest.mark.parametrize("argv, code, stdout, stderr", [
+    (("ord", "cmp", "w", "1", b"\xff"), 2, "",
+     "usage: ordlab [-h] [--ascii] [--fuel N] [--max-nodes N] GROUP ...\n"
+     "ordlab: error: unrecognized arguments: \\udcff\n"),
+    (("formula", "constar", b"\xff", "T"), 0,
+     "PA ⊢ Con★(\\udcff,T) ↔ ∀β ≺ \\udcff Con(T+⌜Con★(β,T)⌝)\n", ""),
+], ids=["usage-error", "answer"])
+def test_subprocess_undecodable_argument(monkeypatch, argv, code, stdout, stderr):
+    monkeypatch.setenv("COLUMNS", "80")
+    proc = _run_process(*argv)
+    _assert_ends(proc, code, stderr)
+    assert proc.stdout.decode("utf-8") == stdout
 
 
 def test_subprocess_byte_identical_reruns():
