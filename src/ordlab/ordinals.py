@@ -30,8 +30,8 @@ LT, EQ, GT = -1, 0, 1
 
 MAX_ENUM_SIZE = 8
 """Largest size enumerate_terms lists.  On a shared 2-CPU x86-64 machine
-under CPython 3.11, size 8 (10409 terms) takes about 0.3 s, size 9 (44320)
-about 1.1 s and size 10 (192593 terms, 90 MB) about 6 s."""
+under CPython 3.11, size 8 (10409 terms) takes about 0.1 s, size 9 (44320)
+about 0.5 s and size 10 (192593 terms, 78 MB) about 2.5 s."""
 
 
 class VeblenAtom(Value):
@@ -180,20 +180,41 @@ def _cmp_term_atom(x: Ordinal, atom: VeblenAtom) -> int:
 
 def add(x: Ordinal | int, y: Ordinal | int) -> Ordinal:
     """Ordinal sum: the suffix of x strictly below y's leading atom is absorbed."""
-    x, y = _coerce(x), _coerce(y)
-    if y.is_zero():
-        return x
-    if x.is_zero():
-        return y
-    lead = y.parts[0][0]
-    i = len(x.parts)
-    while i and _compare_atoms(x.parts[i - 1][0], lead) == LT:
-        i -= 1
-    head = x.parts[:i]
-    if head and _compare_atoms(head[-1][0], lead) == EQ:
-        merged = _run(lead, head[-1][1] + y.parts[0][1])
-        return Ordinal(head[:-1] + (merged,) + y.parts[1:])
-    return Ordinal(head + y.parts)
+    return _sum((_coerce(x), _coerce(y)))
+
+
+def _sum(terms: tuple[Ordinal, ...] | list[Ordinal]) -> Ordinal:
+    """The ordinal sum of canonical terms, left to right, in one pass.
+
+    ``runs`` holds the sum so far.  Each term pops the runs whose atom is
+    below its leading atom, then merges its leading run into an equal top
+    run under the width rule, and pushes its own runs, the same pairs.
+    Every run met costs one atom comparison.  A sum that is one term
+    unchanged is that term."""
+    runs: list[tuple[VeblenAtom, int]] = []
+    whole = ZERO  # the term whose runs ``runs`` holds unchanged, or None
+    for term in terms:
+        parts = term.parts
+        if not parts:
+            continue
+        lead = parts[0][0]
+        while runs:
+            top = runs[-1][0]
+            c = EQ if top is lead else _compare_atoms(top, lead)
+            if c != LT:
+                break
+            runs.pop()
+        if not runs:
+            runs += parts
+            whole = term
+            continue
+        if c == EQ:
+            runs[-1] = _run(lead, runs[-1][1] + parts[0][1])
+            runs += parts[1:]
+        else:
+            runs += parts
+        whole = None
+    return whole if whole is not None else Ordinal(tuple(runs))
 
 
 def successor(x: Ordinal | int) -> Ordinal:
@@ -306,53 +327,61 @@ _BY_ATOM = cmp_to_key(lambda p, q: _compare_atoms(p[0], q[0]))
 
 
 def enumerate_terms(max_nodes: int) -> list[Ordinal]:
-    """All canonical terms of structural size <= max_nodes, sorted ascending."""
+    """All canonical terms of structural size <= max_nodes, in ascending order.
+
+    For each size s, the atoms phi(a, b) of size s are built from the
+    smaller terms and sorted in among the earlier atoms; one walk over them
+    then lists every term of size <= s in ascending order, grouped by size
+    for the next size's atoms.  No term is compared with another."""
     if max_nodes < 0:
         raise RangeError("max_nodes must be a natural number")
     if max_nodes > MAX_ENUM_SIZE:
         raise RangeError(f"enumeration size {max_nodes} exceeds the cap {MAX_ENUM_SIZE}")
 
-    terms_by_size: dict[int, list[Ordinal]] = {0: [ZERO]}
-    desc: list[tuple[VeblenAtom, int]] = []  # (atom, its size), largest atom first
+    terms = [ZERO]
+    by_size = [terms]
+    asc: list[tuple[VeblenAtom, int]] = []  # (atom, its size), smallest atom first
     for s in range(1, max_nodes + 1):
         for sa in range(s):
-            for a in terms_by_size[sa]:
-                for b in terms_by_size[s - 1 - sa]:
+            for a in by_size[sa]:
+                for b in by_size[s - 1 - sa]:
                     inner = single_atom(b)
                     if inner is not None and _cmp(inner.index, a) == GT:
                         continue
-                    desc.append((VeblenAtom(a, b), s))
+                    asc.append((VeblenAtom(a, b), s))
         # The earlier atoms are one sorted run, which the sort only merges
         # the new ones into.
-        desc.sort(key=_BY_ATOM, reverse=True)
-        terms_by_size[s] = _sums_of_exact_size(desc, s)
-    out = [t for ts in terms_by_size.values() for t in ts]
-    out.sort(key=cmp_to_key(_cmp))
-    return out
+        asc.sort(key=_BY_ATOM)
+        terms, by_size = _walk(asc, s)
+    return terms
 
 
-def _sums_of_exact_size(desc: list[tuple[VeblenAtom, int]], size: int) -> list[Ordinal]:
-    """Every strictly decreasing sum of the atoms ``desc`` lists, largest
-    first, whose sizes add up to exactly ``size``."""
-    # fits[b]: the places in desc of the atoms whose size is at most b.
-    fits = [[i for i, (_, sz) in enumerate(desc) if sz <= b] for b in range(size + 1)]
-    found: list[Ordinal] = []
+def _walk(asc: list[tuple[VeblenAtom, int]],
+          size: int) -> tuple[list[Ordinal], list[list[Ordinal]]]:
+    """Every strictly decreasing sum of the atoms ``asc`` lists, smallest
+    first, whose size is at most ``size``: in ascending order, and grouped
+    by size.
 
-    def extend(start: int, budget: int, prefix: tuple[tuple[VeblenAtom, int], ...]):
+    A term comes before every longer term that starts with it; those follow
+    by their next atom, smallest first, then by that atom's count, then by
+    the rest, which is made of smaller atoms only."""
+    # fits[b]: the places in asc of the atoms whose size is at most b.
+    fits = [[i for i, (_, sz) in enumerate(asc) if sz <= b] for b in range(size + 1)]
+    terms: list[Ordinal] = []
+    by_size: list[list[Ordinal]] = [[] for _ in range(size + 1)]
+
+    def extend(prefix: tuple[tuple[VeblenAtom, int], ...], below: int, budget: int):
+        term = Ordinal(prefix)
+        terms.append(term)
+        by_size[size - budget].append(term)
         places = fits[budget]
-        for i in places[bisect_left(places, start):]:
-            atom, sz = desc[i]
-            count = 1
-            while count * sz <= budget:
-                parts = prefix + ((atom, count),)
-                if count * sz == budget:
-                    found.append(Ordinal(parts))
-                else:
-                    extend(i + 1, budget - count * sz, parts)
-                count += 1
+        for i in places[:bisect_left(places, below)]:
+            atom, sz = asc[i]
+            for count in range(1, budget // sz + 1):
+                extend(prefix + ((atom, count),), i, budget - count * sz)
 
-    extend(0, size, ())
-    return found
+    extend((), len(asc), size)
+    return terms, by_size
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .ordinals import (
     ONE,
     ZERO,
     Ordinal,
-    add,
+    _sum,
     compare,
     veblen,
 )
@@ -75,6 +75,7 @@ def worm_ordinal(w: Worm) -> Ordinal:
     its own head: o = w^o(drop w).  Unrolled, o sums w^o(drop H) over the
     0-separated pieces H, rightmost first (an empty rightmost piece adds
     nothing), so it recurses through letter values, never along the worm.
+    The pieces' ordinals are added in one pass, not folded pair by pair.
     worm_ordinal.cache_info() and cache_clear() reach its one cache."""
     return _ordinal(w.letters)
 
@@ -82,7 +83,8 @@ def worm_ordinal(w: Worm) -> Ordinal:
 @lru_cache(maxsize=2**16)
 def _ordinal(letters: tuple[int, ...]) -> Ordinal:
     """o on the letters of a checked worm.  A nonempty piece H is 0-free,
-    so o(H) = w^o(drop H) is its summand, cached under H's letters."""
+    so o(H) = w^o(drop H) is its summand, cached under H's letters; one
+    ordinals._sum call adds the summands, reusing their runs."""
     if 0 not in letters:
         return veblen(ZERO, _ordinal(tuple(l - 1 for l in letters))) if letters else ZERO
     heads = []
@@ -91,10 +93,12 @@ def _ordinal(letters: tuple[int, ...]) -> Ordinal:
         if not letter:
             heads.append(letters[start:i])
             start = i + 1
-    total = _ordinal(letters[start:])
+    # A plain loop, not a comprehension: on Python 3.10 and 3.11 a
+    # comprehension is one more frame on every level of the recursion.
+    pieces = [_ordinal(letters[start:])]
     for head in reversed(heads):
-        total = add(total, _ordinal(head) if head else ONE)
-    return total
+        pieces.append(_ordinal(head) if head else ONE)
+    return _sum(pieces)
 
 
 worm_ordinal.cache_info = _ordinal.cache_info

@@ -254,7 +254,7 @@ def test_enumeration_small_counts():
 
 
 def test_enumeration_is_strictly_sorted_and_duplicate_free():
-    terms = enumerate_terms(5)
+    terms = enumerate_terms(MAX_ENUM_SIZE)
     for a, b in zip(terms, terms[1:]):
         assert compare(a, b) == LT
     assert len(set(terms)) == len(terms)
@@ -266,9 +266,9 @@ def test_enumeration_cap():
     assert len(enumerate_terms(MAX_ENUM_SIZE)) == 10409
 
 
-# The reference order and enumeration: plain transcriptions of the definitions,
-# which build the atom as a term to compare against, re-sort every atom at
-# every size and try every atom at every step.
+# The reference order, sum and enumeration: plain transcriptions of the
+# definitions, which build the atom as a term to compare against, re-sort
+# every atom at every size, try every atom at every step and sort the terms.
 
 def _ref_compare(x, y):
     x = from_int(x) if isinstance(x, int) else x
@@ -291,6 +291,21 @@ def _ref_compare_atoms(a, b):
     if ci == LT:
         return _ref_compare(a.arg, Ordinal(((b, 1),)))
     return -_ref_compare(b.arg, Ordinal(((a, 1),)))
+
+
+def _ref_add(x, y):
+    """Absorption: the runs of x whose atom, as a term, is below y's leading
+    atom go, and a run of an equal atom takes y's leading run's count."""
+    if not y.parts:
+        return x
+    lead = Ordinal(((y.parts[0][0], 1),))
+    head = list(x.parts)
+    while head and _ref_compare(Ordinal(((head[-1][0], 1),)), lead) == LT:
+        head.pop()
+    if head and _ref_compare(Ordinal(((head[-1][0], 1),)), lead) == EQ:
+        atom, count = head.pop()
+        return Ordinal(tuple(head) + ((atom, count + y.parts[0][1]),) + y.parts[1:])
+    return Ordinal(tuple(head) + y.parts)
 
 
 def _ref_sums_of_exact_size(atoms, size):
@@ -330,8 +345,29 @@ def _ref_enumerate(max_nodes):
 
 
 def test_enumeration_matches_reference():
-    for n in range(8):
+    for n in range(MAX_ENUM_SIZE + 1):
         assert enumerate_terms(n) == _ref_enumerate(n)
+
+
+def test_add_matches_reference(pool4):
+    for x in pool4:
+        for y in pool4:
+            assert add(x, y) == _ref_add(x, y)
+
+
+def test_sum_matches_a_fold_of_the_reference(pool5):
+    rng = random.Random(25)
+    for length in list(range(31)) * 20:
+        terms = [rng.choice(pool5) for _ in range(length)]
+        expected = ZERO
+        for t in terms:
+            expected = _ref_add(expected, t)
+        assert ordinals._sum(terms) == expected
+    # Runs that merge on the way keep the width rule.
+    wide = parse_ordinal("w*4294967296")
+    assert ordinals._sum([parse_ordinal("w*4294967295"), ONE, OMEGA]) == wide
+    with pytest.raises(RangeError):
+        ordinals._sum([wide, ONE, OMEGA])
 
 
 def test_compare_matches_reference(pool5, rng):
