@@ -7,8 +7,10 @@ assertion (printed "T") and has ordinal 0.  o respects the 0-consistency
 ordering, so worms compare by comparing their ordinals.
 
 A Worm checks its letters once, when it is made; o and its inverse then
-work on bare letter tuples.  o is memoised in one bounded cache of 2**16
-entries, keyed by letter tuples, which the pieces of a worm share.
+work on bare letters.  o is memoised in one bounded cache of 2**12 entries,
+which the pieces of a worm share.  Its keys are bytes, one byte a letter: a
+letter is at most MAX_DEPTH = 100, so it fits, and a bytes key stores its
+letters in an eighth of a tuple's space and keeps its hash.
 """
 
 from __future__ import annotations
@@ -76,26 +78,27 @@ def worm_ordinal(w: Worm) -> Ordinal:
     0-separated pieces H, rightmost first (an empty rightmost piece adds
     nothing), so it recurses through letter values, never along the worm.
     The pieces' ordinals are added in one pass, not folded pair by pair.
+    The letters go to the cache as bytes, made once here.
     worm_ordinal.cache_info() and cache_clear() reach its one cache."""
-    return _ordinal(w.letters)
+    return _ordinal(bytes(w.letters))
 
 
-@lru_cache(maxsize=2**16)
-def _ordinal(letters: tuple[int, ...]) -> Ordinal:
-    """o on the letters of a checked worm.  A nonempty piece H is 0-free,
-    so o(H) = w^o(drop H) is its summand, cached under H's letters; one
-    ordinals._sum call adds the summands, reusing their runs."""
+# The translate table that subtracts 1 from every letter but 0, which no
+# dropped piece contains.
+_DROP = bytes(1) + bytes(range(255))
+
+
+@lru_cache(maxsize=2**12)
+def _ordinal(letters: bytes) -> Ordinal:
+    """o on the letters of a checked worm, one byte a letter.  A nonempty
+    piece H is 0-free, so o(H) = w^o(drop H) is its summand, cached under
+    H's bytes; one ordinals._sum call adds the summands, reusing their runs."""
     if 0 not in letters:
-        return veblen(ZERO, _ordinal(tuple(l - 1 for l in letters))) if letters else ZERO
-    heads = []
-    start = 0
-    for i, letter in enumerate(letters):
-        if not letter:
-            heads.append(letters[start:i])
-            start = i + 1
+        return veblen(ZERO, _ordinal(letters.translate(_DROP))) if letters else ZERO
+    heads = letters.split(b"\0")
     # A plain loop, not a comprehension: on Python 3.10 and 3.11 a
     # comprehension is one more frame on every level of the recursion.
-    pieces = [_ordinal(letters[start:])]
+    pieces = [_ordinal(heads.pop())]
     for head in reversed(heads):
         pieces.append(_ordinal(head) if head else ONE)
     return _sum(pieces)

@@ -1,22 +1,86 @@
 """The worms layer's cache and the errors of worm_of_ordinal, pinned.
 
-o(.) is memoised on letter tuples in one bounded cache, reachable as
-worm_ordinal.cache_info() and worm_ordinal.cache_clear(); the pieces a worm
-splits into go through the same cache.  worm_of_ordinal's refusals keep
-their text, each one error line at the CLI.
+o(.) is memoised on letter bytes, one byte a letter, in one cache bounded
+at 2**12 entries, reachable as worm_ordinal.cache_info() and
+worm_ordinal.cache_clear(); the pieces a worm splits into go through the
+same cache.  Every worm of up to six letters from 0-3 gets the ordinal an
+uncached recursion on letter tuples gives, from an empty cache and from a
+full one.  worm_of_ordinal's refusals keep their text, each one error line
+at the CLI.
 """
+
+import itertools
 
 import pytest
 
 from ordlab._scan import MAX_DEPTH
 from ordlab.cli import run
 from ordlab.errors import RangeError
-from ordlab.ordinals import iter_omega
-from ordlab.worms import parse_worm, worm_of_ordinal, worm_ordinal
+from ordlab.ordinals import ZERO, add, iter_omega, parse_ordinal, veblen
+from ordlab.worms import Worm, parse_worm, worm_of_ordinal, worm_ordinal
+
+MAXSIZE = 2**12
 
 
-def test_cache_is_bounded_at_two_to_the_sixteen():
-    assert worm_ordinal.cache_info().maxsize == 2**16
+def _ref_ordinal(letters: tuple[int, ...]):
+    """o by its definition, uncached: o(T) = 0, o(H.<0>.T) = o(T) + w^o(drop H)
+    at the leftmost 0, and o(H) = w^o(drop H) for a nonempty 0-free H."""
+    if not letters:
+        return ZERO
+    split = letters.index(0) if 0 in letters else len(letters)
+    head = veblen(ZERO, _ref_ordinal(tuple(l - 1 for l in letters[:split])))
+    return add(_ref_ordinal(letters[split + 1:]), head) if split < len(letters) else head
+
+
+def _other_worms(count: int) -> list[Worm]:
+    """``count`` distinct worms, each led by the letter 5, which no worm of
+    the exhaustive check holds."""
+    return [Worm((5, *letters))
+            for letters in itertools.islice(itertools.product(range(5), repeat=6), count)]
+
+
+EXHAUSTIVE = [Worm(letters) for n in range(7) for letters in itertools.product(range(4), repeat=n)]
+
+
+def test_cache_is_bounded_at_two_to_the_twelve():
+    assert worm_ordinal.cache_info().maxsize == MAXSIZE
+
+
+def test_cache_stays_within_its_bound():
+    worm_ordinal.cache_clear()
+    for w in _other_worms(MAXSIZE + 100):
+        worm_ordinal(w)
+    info = worm_ordinal.cache_info()
+    assert info.misses >= MAXSIZE + 100
+    assert info.currsize <= MAXSIZE
+
+
+def test_letters_fit_in_a_byte():
+    # The cache keys a worm by bytes(letters), so a letter must be below 256.
+    assert MAX_DEPTH < 256
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["cleared", "evicting"])
+def test_every_short_worm_matches_the_uncached_reference(full):
+    assert len(EXHAUSTIVE) == 5461
+    worm_ordinal.cache_clear()
+    if full:
+        for w in _other_worms(MAXSIZE + 100):
+            worm_ordinal(w)
+        assert worm_ordinal.cache_info().currsize == MAXSIZE
+    for w in EXHAUSTIVE + [parse_worm("100"), parse_worm("100 0 100")]:
+        assert worm_ordinal(w) == _ref_ordinal(w.letters), w
+
+
+def test_long_repetitive_worm_round_trips_in_few_misses():
+    # The worm and its 40000 equal pieces "1 1 1 3 1 3" take two entries,
+    # and that piece's levels the other five.
+    x = parse_ordinal("w^(w^w*2+3)*40000")
+    w = worm_of_ordinal(x)
+    assert len(w.letters) == 279_999
+    worm_ordinal.cache_clear()
+    assert worm_ordinal(w) == x
+    assert worm_ordinal.cache_info().misses == 7
 
 
 def test_cache_clear_empties_the_cache():
