@@ -19,6 +19,7 @@ denote b.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from functools import cmp_to_key, total_ordering
 
@@ -92,6 +93,7 @@ _ATOM_ONE = VeblenAtom(ZERO, ZERO)
 
 def from_int(n: int) -> Ordinal:
     """The finite ordinal n, stored as n copies of phi(0,0)."""
+    n = operator.index(n)
     if n < 0:
         raise RangeError("ordinals cannot be negative")
     if n > MAX_WIDTH:
@@ -224,7 +226,7 @@ def successor(x: Ordinal | int) -> Ordinal:
 def mul_nat(x: Ordinal | int, n: int) -> Ordinal:
     """x * n; same value as folding add n times, since the tail of x is
     absorbed into the leading run at every step."""
-    x = _coerce(x)
+    x, n = _coerce(x), operator.index(n)
     if n < 0:
         raise RangeError("multiplier must be a natural number")
     if n == 0 or x.is_zero():

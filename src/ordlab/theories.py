@@ -16,6 +16,7 @@ Mixed-level nestings no transform reaches are rejected, not approximated.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -72,6 +73,7 @@ class Reflect(TheoryExpr):
     over: TheoryExpr
 
     def __init__(self, level: int, iterations: Ordinal, over: TheoryExpr):
+        level = operator.index(level)
         if level < 1:
             raise ShapeError("reflection level must be >= 1")
         within_depth(level, "reflection level")
@@ -106,8 +108,7 @@ class RuleSet(Value):
     """Exactly one rule per transform: the rule that licenses, and cites,
     every step of that transform, in a reduction or a progression stage."""
 
-    __slots__ = ("rules", "_by_transform")
-    __match_args__ = ("rules",)
+    __slots__ = __match_args__ = ("rules",)
     rules: tuple[ReductionRule, ...]
 
     def __init__(self, rules: list[ReductionRule]):
@@ -117,12 +118,13 @@ class RuleSet(Value):
             if count != 1:
                 raise CatalogError(f"a rule set needs exactly one {transform} rule, not {count}")
         set_field(self, "rules", rules)
-        set_field(self, "_by_transform",
-                  MappingProxyType({rule.ordinal_transform: rule for rule in rules}))
 
     def authorize(self, transform: str) -> ReductionRule:
         """The rule that licenses a step of this transform."""
-        return self._by_transform[transform]
+        for rule in self.rules:
+            if rule.ordinal_transform == transform:
+                return rule
+        raise KeyError(transform)
 
 
 @lru_cache(maxsize=None)
@@ -198,7 +200,7 @@ def pi_ordinal(t: TheoryExpr, k: int) -> Ordinal:
         if k != 1 or any(iterations != ONE for _, iterations in chain):
             raise ShapeError(f"{format_theory(t)} is outside the supported shapes at level {k}")
         default_rules().authorize("worm-route")
-        gamma = worm_ordinal(Worm(tuple(level - 1 for level, _ in chain)))
+        gamma = worm_ordinal(Worm(level - 1 for level, _ in chain))
     return gamma
 
 

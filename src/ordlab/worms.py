@@ -15,6 +15,7 @@ letters in an eighth of a tuple's space and keeps its hash.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 from ._scan import numeral_value, within_depth
@@ -38,7 +39,9 @@ class Worm(Value):
     __slots__ = __match_args__ = ("letters",)
     letters: tuple[int, ...]
 
-    def __init__(self, letters: tuple[int, ...] = ()):
+    def __init__(self, letters=()):
+        # Any iterable of letters; the worm keeps its own tuple of them.
+        letters = tuple(letters)
         if letters and min(letters) < 0:
             raise WormError("worm letters must be natural numbers")
         within_depth(max(letters, default=0), "worm letter")
@@ -59,16 +62,17 @@ TOP = Worm(())
 
 def lift(w: Worm, k: int) -> Worm:
     """Add k to every letter; o(lift(w,1)) = w^o(w) for nonempty w."""
+    k = operator.index(k)
     if k < 0:
         raise WormError("lift amount must be a natural number")
-    return Worm(tuple(l + k for l in w.letters))
+    return Worm(l + k for l in w.letters)
 
 
 def drop(w: Worm) -> Worm:
     """Subtract 1 from every letter; defined only on 0-free worms."""
     if 0 in w.letters:
         raise WormError("cannot drop a worm containing the letter 0")
-    return Worm(tuple(l - 1 for l in w.letters))
+    return Worm(l - 1 for l in w.letters)
 
 
 def worm_ordinal(w: Worm) -> Ordinal:
@@ -169,7 +173,7 @@ def parse_worm(text: str) -> Worm:
         letters.append(numeral_value(piece))
     if not letters:
         raise ParseError("empty worm text; the empty worm is written 'T'")
-    return Worm(tuple(letters))
+    return Worm(letters)
 
 
 def format_worm(w: Worm) -> str:

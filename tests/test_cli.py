@@ -109,6 +109,11 @@ def test_enum_respects_max_nodes(capsys):
     code, out, _ = invoke(capsys, "--max-nodes", "2", "ord", "enum")
     assert code == 0
     assert out.splitlines() == ["0", "1", "2", "w", "e0"]
+    # At the largest size the cap allows, every term of size 8, smallest first.
+    code, out, _ = invoke(capsys, "--max-nodes", "8", "ord", "enum")
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 10409
+    assert (lines[0], lines[-1]) == ("0", "phi(phi(phi(phi(phi(phi(e0,0),0),0),0),0),0)")
 
 
 # --- round trip --------------------------------------------------------------------
@@ -400,6 +405,13 @@ def test_stage_nests_at_most_to_the_depth_cap(capsys):
 ])
 def test_long_worms_answer(capsys, argv, expected):
     assert invoke(capsys, *argv) == (0, expected + "\n", "")
+
+
+def test_long_worm_round_trips(capsys):
+    # 400 pieces of 7 letters with their separators, less the last 0: 2799 letters.
+    code, out, err = invoke(capsys, "worm", "of-ordinal", "w^(w^w*2+3)*400")
+    assert (code, len(out), err) == (0, 5598, "")
+    assert invoke(capsys, "worm", "o", out.rstrip("\n")) == (0, "w^(w^w*2+3)*400\n", "")
 
 
 def test_usage_error_exit_2(capsys):
