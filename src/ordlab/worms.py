@@ -40,10 +40,15 @@ class Worm(Value):
     letters: tuple[int, ...]
 
     def __init__(self, letters=()):
-        # Any iterable of letters; the worm keeps its own tuple of them.
+        # Any iterable of int letters; the worm keeps its own tuple of them.
+        # bytes() refuses a non-integer letter and reads a bool as 0 or 1; a
+        # letter it cannot hold, below 0 or above 255, is checked below.
         letters = tuple(letters)
-        if letters and min(letters) < 0:
-            raise WormError("worm letters must be natural numbers")
+        try:
+            letters = tuple(bytes(letters))
+        except ValueError:
+            if min(letters) < 0:
+                raise WormError("worm letters must be natural numbers") from None
         within_depth(max(letters, default=0), "worm letter")
         set_field(self, "letters", letters)
 

@@ -1,12 +1,12 @@
-import argparse
 import itertools
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
-from ordlab.cli import build_parser
-
+from ordlab.cli import _COMMANDS
 from ordlab.ordinals import add, compare, enumerate_terms, from_int, in_phi_range, veblen
 from ordlab.worms import Worm
 
@@ -15,6 +15,27 @@ from ordlab.worms import Worm
 # test's own max_examples and deadline still apply.
 settings.register_profile("reproducible", derandomize=True, database=None)
 settings.load_profile("reproducible")
+
+# The benchmark's reference answers, computed without ordlab, serve the
+# tests as well: ``import oracle`` loads bench/oracle.py.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+# The predicates acceptance criterion 8 and the notation-lab tests run.
+BATTERY = [
+    "true",
+    "x != 0",
+    "x != 7",
+    "x != 199",
+    "x*x <= 10000 or x != 50",
+    "x != 120 and x != 130",
+]
+
+# Canonical ordinal texts, each printed back unchanged by parse and format.
+GOLDEN_CORPUS = [
+    "0", "1", "7", "w", "w+1", "w*2", "w*2+1", "w^2", "w^w", "w^(w+1)",
+    "w^(w*2)", "e0", "e0+1", "e0*2", "e0+w+1", "phi(1,1)", "phi(2,0)",
+    "phi(w,0)", "phi(1,w)", "w^(e0+1)", "phi(e0,0)", "phi(1,2)+w^w*3+w+5",
+]
 
 
 def random_term(rng: random.Random, depth: int):
@@ -68,14 +89,7 @@ def rng():
     return random.Random(0xC0FFEE)
 
 
-def _choices(parser: argparse.ArgumentParser) -> dict:
-    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return subparsers.choices
-
-
 @pytest.fixture(scope="session")
 def registered_commands() -> list[tuple[str, str]]:
-    """Every (group, command) pair build_parser() registers, in order."""
-    return [(group, command)
-            for group, group_parser in _choices(build_parser()).items()
-            for command in _choices(group_parser)]
+    """Every (group, command) pair of the CLI's command table, in order."""
+    return [(group, command) for group, command, *_ in _COMMANDS]

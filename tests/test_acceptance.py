@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from conftest import oracle_next_phi, random_term, worms_up_to
+from conftest import BATTERY, oracle_next_phi, random_term, worms_up_to
 from ordlab.cli import run
 from ordlab.formulas import (
     TOP,
@@ -228,16 +228,6 @@ def test_criterion_07_dilator_evaluation():
                 assert compare(vx, vy) <= 0
     _announce(7, "dilator value at (0,0) is e0; 100-point chains increase strictly; "
                  "outputs are phi_{1+alpha} values")
-
-
-BATTERY = [
-    "true",
-    "x != 0",
-    "x != 7",
-    "x != 199",
-    "x*x <= 10000 or x != 50",
-    "x != 120 and x != 130",
-]
 
 
 def test_criterion_08_notation_lab():

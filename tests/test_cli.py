@@ -14,16 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ordlab
+from conftest import GOLDEN_CORPUS
 from ordlab import cli
 from ordlab._scan import MAX_DEPTH
 from ordlab.cli import _COMMANDS, _read, build_parser, run
 from ordlab.theories import EA_PLUS, default_catalog
-
-GOLDEN_CORPUS = [
-    "0", "1", "7", "w", "w+1", "w*2", "w*2+1", "w^2", "w^w", "w^(w+1)",
-    "w^(w*2)", "e0", "e0+1", "e0*2", "e0+w+1", "phi(1,1)", "phi(2,0)",
-    "phi(w,0)", "phi(1,w)", "w^(e0+1)", "phi(e0,0)", "phi(1,2)+w^w*3+w+5",
-]
 
 
 def invoke(capsys, *argv):
@@ -643,13 +638,28 @@ def test_run_without_argv_reads_sys_argv(capsys, monkeypatch):
     assert (run(), *capsys.readouterr()) == (0, "7 8 9 10 11 12\n", "")
 
 
-def test_readme_shows_every_command(registered_commands):
+# The README's CLI block comments these lines in prose; every other comment
+# is the last line its command prints.
+PROSE = {"all 14 terms of size <= 3", "list the named theories",
+         "counterexample/descent report", "7 8 ... 50"}
+
+
+def test_readme_shows_every_command(capsys, registered_commands):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    shown = set()
-    for line in block.splitlines():
-        words = shlex.split(line, comments=True)
+    shown, prose = set(), set()
+    for line in filter(None, block.splitlines()):
+        command, _, comment = line.partition("#")
+        words = shlex.split(command)
         shown.update(zip(words, words[1:]))
+        code, out, err = invoke(capsys, *words[1:])
+        assert (code, err) == (0, ""), line
+        comment = comment.strip()
+        if comment in PROSE:
+            prose.add(comment)
+        elif comment:
+            assert out.splitlines()[-1] == comment, line
+    assert prose == PROSE
     assert [pair for pair in registered_commands if pair not in shown] == []
 
 

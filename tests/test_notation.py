@@ -9,6 +9,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
+from conftest import BATTERY
+from oracle import order_key
 from ordlab._scan import MAX_DEPTH
 from ordlab.errors import PredicateError, RangeError
 from ordlab.notation import (
@@ -23,16 +25,6 @@ from ordlab.notation import (
     kreisel_presentation,
     parse_predicate,
 )
-
-BATTERY = [
-    "true",
-    "x != 0",
-    "x != 7",
-    "x != 199",
-    "x*x <= 10000 or x != 50",
-    "x != 120 and x != 130",
-]
-
 
 _COMPARE = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt,
             "=": operator.eq, "!=": operator.ne}
@@ -394,11 +386,6 @@ def test_negative_window_or_fuel():
 
 # --- the scanned prefix -------------------------------------------------------------
 
-def _order_key(k, n):
-    """Rank of n in the three-zone order around k (None: plain omega)."""
-    return (0, n) if k is None or n < k else (1, -n)
-
-
 @pytest.mark.parametrize("text", ["x != 700", "true"])
 def test_less_batch_evaluates_each_argument_once(text):
     rng = random.Random(3)
@@ -406,7 +393,7 @@ def test_less_batch_evaluates_each_argument_once(text):
     p, calls = _counting(text)
     k = 700 if text != "true" else None
     for a, b in pairs:
-        assert p.less(a, b) == (_order_key(k, a) < _order_key(k, b))
+        assert p.less(a, b) == (order_key(k, a) < order_key(k, b))
     assert len(calls) == len(set(calls))
     assert len(calls) <= max(max(pair) for pair in pairs) + 1
 
@@ -455,7 +442,7 @@ def test_recorder_after_a_larger_query(text):
     for a, b in ((4, 5), (30, 12), (2, 0), (150, 170)):
         top = max(a, b)
         k = next((n for n in range(top + 1) if not p.predicate.evaluate(n)), None)
-        assert p.less(a, b) == (_order_key(k, a) < _order_key(k, b))
+        assert p.less(a, b) == (order_key(k, a) < order_key(k, b))
         assert p.least_counterexample(top) == k
 
 
@@ -478,7 +465,7 @@ def test_presentation_shared_across_threads():
     assert len(results) == 8
     for rows in results:
         for a, b, got in rows:
-            assert got == (_order_key(700, a) < _order_key(700, b))
+            assert got == (order_key(700, a) < order_key(700, b))
 
 
 # --- find_descending -------------------------------------------------------------------

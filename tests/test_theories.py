@@ -31,7 +31,6 @@ from ordlab.theories import (
     Reflect,
     RuleSet,
     catalog_lookup,
-    default_catalog,
     default_rules,
     format_theory,
     omega_model_dilator,
@@ -40,7 +39,7 @@ from ordlab.theories import (
     progression_stage,
     reduce_to_level,
 )
-from ordlab.worms import Worm, theory_of_worm, worm_ordinal
+from ordlab.worms import Worm, worm_ordinal
 
 
 # --- reduction --------------------------------------------------------------------
@@ -275,13 +274,6 @@ def test_pi_ordinal_monotone_sampled():
                     pa = pi_ordinal(Reflect(n, a, EA_PLUS), 1)
                     pb = pi_ordinal(Reflect(n, b, EA_PLUS), 1)
                     assert compare(pa, pb) < 0
-
-
-def test_worm_coherence_exhaustive():
-    for n in range(5):
-        for letters in itertools.product((0, 1, 2), repeat=n):
-            w = Worm(letters)
-            assert pi_ordinal(theory_of_worm(w), 1) == worm_ordinal(w)
 
 
 # --- progression stages -----------------------------------------------------------------

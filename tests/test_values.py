@@ -222,19 +222,20 @@ def test_worm_keeps_a_tuple_of_its_letters():
     letters.append(500)
     assert worm == Worm((1, 0)) and hash(worm) == hash(Worm((1, 0)))
     assert Worm(iter([1, 0])) == worm and str(Worm(iter([1, 0]))) == "1 0"
-    letters = (1, 0)
-    assert Worm(letters).letters is letters
+    assert Worm((1, 0)).letters == (1, 0)
 
 
-# The naturals from_int and mul_nat take, lift amounts and reflection levels
-# are ints: a bool counts as 0 or 1, and a float is refused rather than printed.
+# The naturals from_int and mul_nat take, worm letters, lift amounts and
+# reflection levels are ints: a bool counts as 0 or 1, and a float is refused rather than printed.
 def test_integer_fields_are_ints():
     assert str(ordinals.from_int(True)) == "1" and ordinals.from_int(True) == ONE
     assert ordinals.mul_nat(ordinals.OMEGA, True) == ordinals.OMEGA
     assert worms.lift(Worm((1, 0)), True) == Worm((2, 1))
+    assert str(Worm((True, 0))) == "1 0" and Worm((True, 0)) == Worm((1, 0))
     assert str(Reflect(True, ONE, EA_PLUS)) == str(Reflect(1, ONE, EA_PLUS))
     for call in (lambda: ordinals.mul_nat(ordinals.OMEGA, 2.0),
                  lambda: worms.lift(Worm((1, 0)), 1.5),
+                 lambda: Worm((1.5, 0)),
                  lambda: Reflect(2.0, ONE, EA_PLUS),
                  lambda: ordinals.from_int(2.0)):
         with pytest.raises(TypeError):

@@ -3,33 +3,25 @@
 o(.) is memoised on letter bytes, one byte a letter, in one cache bounded
 at 2**12 entries, reachable as worm_ordinal.cache_info() and
 worm_ordinal.cache_clear(); the pieces a worm splits into go through the
-same cache.  Every worm of up to six letters from 0-3 gets the ordinal an
-uncached recursion on letter tuples gives, from an empty cache and from a
-full one.  worm_of_ordinal's refusals keep their text, each one error line
-at the CLI.
+same cache.  Every worm of up to six letters from 0-3 prints the ordinal
+that bench/oracle.py's worm_ordinal gives, from an empty cache and from a
+full one; that reference is an uncached recursion on Cantor normal forms
+and uses neither ordlab's add nor its veblen.  worm_of_ordinal's refusals
+keep their text, each one error line at the CLI.
 """
 
 import itertools
 
 import pytest
 
+import oracle
 from ordlab._scan import MAX_DEPTH
 from ordlab.cli import run
 from ordlab.errors import RangeError
-from ordlab.ordinals import ZERO, add, iter_omega, parse_ordinal, veblen
+from ordlab.ordinals import iter_omega, parse_ordinal
 from ordlab.worms import Worm, parse_worm, worm_of_ordinal, worm_ordinal
 
 MAXSIZE = 2**12
-
-
-def _ref_ordinal(letters: tuple[int, ...]):
-    """o by its definition, uncached: o(T) = 0, o(H.<0>.T) = o(T) + w^o(drop H)
-    at the leftmost 0, and o(H) = w^o(drop H) for a nonempty 0-free H."""
-    if not letters:
-        return ZERO
-    split = letters.index(0) if 0 in letters else len(letters)
-    head = veblen(ZERO, _ref_ordinal(tuple(l - 1 for l in letters[:split])))
-    return add(_ref_ordinal(letters[split + 1:]), head) if split < len(letters) else head
 
 
 def _other_worms(count: int) -> list[Worm]:
@@ -69,7 +61,7 @@ def test_every_short_worm_matches_the_uncached_reference(full):
             worm_ordinal(w)
         assert worm_ordinal.cache_info().currsize == MAXSIZE
     for w in EXHAUSTIVE + [parse_worm("100"), parse_worm("100 0 100")]:
-        assert worm_ordinal(w) == _ref_ordinal(w.letters), w
+        assert str(worm_ordinal(w)) == oracle.fmt(oracle.worm_ordinal(w.letters)), w
 
 
 def test_long_repetitive_worm_round_trips_in_few_misses():

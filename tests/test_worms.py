@@ -8,14 +8,11 @@ from ordlab.ordinals import (
     EQ,
     GT,
     LT,
-    ZERO,
-    add,
     compare,
     enumerate_terms,
     from_int,
     iter_omega,
     parse_ordinal,
-    veblen,
 )
 from ordlab.theories import EA_PLUS, Reflect
 from ordlab.worms import (
@@ -51,26 +48,6 @@ def test_worm_ordinal_cases(letters, expected):
 def test_alphabet_zero_worms_are_naturals():
     for n in range(51):
         assert worm_ordinal(Worm((0,) * n)) == from_int(n)
-
-
-def test_o_recursion_identity_exhaustive():
-    for w in worms_up_to(5):
-        if 0 not in w.letters:
-            continue
-        split = w.letters.index(0)
-        head, tail = Worm(w.letters[:split]), Worm(w.letters[split + 1:])
-        expected = add(worm_ordinal(tail), veblen(ZERO, worm_ordinal(drop(head))))
-        assert worm_ordinal(w) == expected
-
-
-def test_lift_law_exhaustive_nonempty():
-    # o(lift(w,1)) = w^o(w); the empty worm is fixed by lift, so it is the
-    # one exception (its image would otherwise be 1, not 0).
-    for w in worms_up_to(5):
-        if w.is_top():
-            assert worm_ordinal(lift(w, 1)) == ZERO
-        else:
-            assert worm_ordinal(lift(w, 1)) == veblen(ZERO, worm_ordinal(w))
 
 
 # --- comparison -------------------------------------------------------------------
