@@ -20,8 +20,8 @@ denote b.
 from __future__ import annotations
 
 import operator
-from bisect import bisect_left
-from functools import cmp_to_key, total_ordering
+from bisect import bisect_left, bisect_right, insort
+from functools import total_ordering
 
 from ._scan import MAX_WIDTH, NAME, Scanner
 from ._value import Value, set_field
@@ -31,8 +31,8 @@ LT, EQ, GT = -1, 0, 1
 
 MAX_ENUM_SIZE = 8
 """Largest size enumerate_terms lists.  On a shared 2-CPU x86-64 machine
-under CPython 3.11, size 8 (10409 terms) takes about 0.1 s, size 9 (44320)
-about 0.5 s and size 10 (192593 terms, 78 MB) about 2.5 s."""
+under CPython 3.11, size 8 (10409 terms) takes about 0.05 s, size 9 (44320)
+about 0.3 s and size 10 (192593 terms, 104 MB peak RSS) about 1.8 s."""
 
 
 class VeblenAtom(Value):
@@ -253,6 +253,7 @@ def veblen(a: Ordinal | int, b: Ordinal | int) -> Ordinal:
 
 def iter_omega(m: int, x: Ordinal | int) -> Ordinal:
     """m-fold omega power: iter_omega(0, x) = x, then w^(...) applied m times."""
+    m = operator.index(m)
     if m < 0:
         raise RangeError("iteration count must be a natural number")
     out = _coerce(x)
@@ -325,64 +326,105 @@ def term_size(x: Ordinal) -> int:
     return sum(c * (1 + term_size(a.index) + term_size(a.arg)) for a, c in x.parts)
 
 
-_BY_ATOM = cmp_to_key(lambda p, q: _compare_atoms(p[0], q[0]))
-
-
 def enumerate_terms(max_nodes: int) -> list[Ordinal]:
     """All canonical terms of structural size <= max_nodes, in ascending order.
 
-    For each size s, the atoms phi(a, b) of size s are built from the
-    smaller terms and sorted in among the earlier atoms; one walk over them
-    then lists every term of size <= s in ascending order, grouped by size
-    for the next size's atoms.  No term is compared with another."""
+    For each size s, the atoms of size s are placed among the smaller ones
+    by integer keys; one walk over them all then lists every term of size
+    <= s in ascending order, grouped by size for the next size's atoms.  No
+    term or atom is compared with another.
+
+    The walk keys each term by its atoms' places and their counts, so keys
+    compare as terms do.  A new atom X = phi(a, b) goes just below the least
+    smaller-size atom above it: the least phi(a, d) with d > b, or the least
+    phi(c, d) with c > a above b's leading atom, whichever is less.  A
+    phi(c, d) with c < a is above X only if d is, and then d's leading atom
+    lies between the two.  New atoms in one gap order by (a, b): b < X, so
+    b lies below the gap and below each Y = phi(a', b') in it, which puts X
+    below Y when a < a'."""
+    max_nodes = operator.index(max_nodes)
     if max_nodes < 0:
         raise RangeError("max_nodes must be a natural number")
     if max_nodes > MAX_ENUM_SIZE:
         raise RangeError(f"enumeration size {max_nodes} exceeds the cap {MAX_ENUM_SIZE}")
 
     terms = [ZERO]
-    by_size = [terms]
+    by_size = [([ZERO], [()])]
     asc: list[tuple[VeblenAtom, int]] = []  # (atom, its size), smallest atom first
     for s in range(1, max_nodes + 1):
-        for sa in range(s):
-            for a in by_size[sa]:
-                for b in by_size[s - 1 - sa]:
-                    inner = single_atom(b)
-                    if inner is not None and _cmp(inner.index, a) == GT:
-                        continue
-                    asc.append((VeblenAtom(a, b), s))
-        # The earlier atoms are one sorted run, which the sort only merges
-        # the new ones into.
-        asc.sort(key=_BY_ATOM)
+        asc = _place(asc, by_size, s)
         terms, by_size = _walk(asc, s)
     return terms
 
 
-def _walk(asc: list[tuple[VeblenAtom, int]],
-          size: int) -> tuple[list[Ordinal], list[list[Ordinal]]]:
+def _place(asc: list[tuple[VeblenAtom, int]], by_size: list, size: int) -> list:
+    """asc with the atoms of the given size placed in.  by_size[k] holds
+    the terms of size k and their keys over asc."""
+    place = {id(atom): p for p, (atom, _) in enumerate(asc)}
+
+    def key(x: Ordinal) -> tuple[int, ...]:
+        return tuple([n for atom, count in x.parts for n in (place[id(atom)], count)])
+
+    index_keys = [key(atom.index) for atom, _ in asc]
+    same_index: dict[tuple, tuple[list, list]] = {}  # index -> arg keys, places
+    for p, (atom, _) in enumerate(asc):
+        args, places = same_index.setdefault(index_keys[p], ([], []))
+        args.append(key(atom.arg))
+        places.append(p)
+    higher = sorted(same_index)  # the indices not yet swept, largest last
+    above = [len(asc)]  # the places of the atoms whose index is above a, and an end
+    keyed = [((2 * p + 1,), entry) for p, entry in enumerate(asc)]
+    indices = [(ka, a, size - 1 - sa) for sa in range(size) for a, ka in zip(*by_size[sa])]
+    for ka, a, sb in sorted(indices, key=operator.itemgetter(0), reverse=True):
+        while higher and higher[-1] > ka:
+            for p in same_index[higher.pop()][1]:
+                insort(above, p)
+        args, places = same_index.get(ka, ((), ()))
+        for b, kb in zip(*by_size[sb]):
+            if len(kb) == 2 and kb[1] == 1 and index_keys[kb[0]] > ka:
+                continue  # phi(a, b) = b
+            gap = above[bisect_right(above, kb[0] if kb else -1)]
+            j = bisect_left(args, kb)
+            if j < len(args) and places[j] < gap:
+                gap = places[j]
+            keyed.append(((2 * gap, ka, kb), (VeblenAtom(a, b), size)))
+    keyed.sort(key=operator.itemgetter(0))
+    return [entry for _, entry in keyed]
+
+
+def _walk(asc: list[tuple[VeblenAtom, int]], size: int) -> tuple[list[Ordinal], list]:
     """Every strictly decreasing sum of the atoms ``asc`` lists, smallest
-    first, whose size is at most ``size``: in ascending order, and grouped
-    by size.
+    first, whose size is at most ``size``: in ascending order, and by size
+    with its key, its places in asc each followed by its count.
 
     A term comes before every longer term that starts with it; those follow
     by their next atom, smallest first, then by that atom's count, then by
     the rest, which is made of smaller atoms only."""
     # fits[b]: the places in asc of the atoms whose size is at most b.
-    fits = [[i for i, (_, sz) in enumerate(asc) if sz <= b] for b in range(size + 1)]
-    terms: list[Ordinal] = []
-    by_size: list[list[Ordinal]] = [[] for _ in range(size + 1)]
+    fits: list[list[int]] = [[] for _ in range(size + 1)]
+    for i, (_, sz) in enumerate(asc):
+        fits[sz].append(i)
+    for b in range(1, size + 1):
+        fits[b] = sorted(fits[b - 1] + fits[b])
+    terms = [ZERO]
+    by_size = [([ZERO], [()])] + [([], []) for _ in range(size)]
 
-    def extend(prefix: tuple[tuple[VeblenAtom, int], ...], below: int, budget: int):
-        term = Ordinal(prefix)
-        terms.append(term)
-        by_size[size - budget].append(term)
+    def extend(prefix: tuple, key: tuple, below: int, budget: int):
         places = fits[budget]
         for i in places[:bisect_left(places, below)]:
             atom, sz = asc[i]
             for count in range(1, budget // sz + 1):
-                extend(prefix + ((atom, count),), i, budget - count * sz)
+                parts, k = prefix + ((atom, count),), key + (i, count)
+                term = Ordinal(parts)
+                terms.append(term)
+                left = budget - count * sz
+                sized, keys = by_size[size - left]
+                sized.append(term)
+                keys.append(k)
+                if left:
+                    extend(parts, k, i, left)
 
-    extend((), len(asc), size)
+    extend((), (), len(asc), size)
     return terms, by_size
 
 

@@ -7,8 +7,6 @@ stated time budgets are asserted with perf counters.
 import random
 import time
 
-import pytest
-
 from conftest import BATTERY, oracle_next_phi, random_term, worms_up_to
 from ordlab.cli import run
 from ordlab.formulas import (
@@ -36,7 +34,6 @@ from ordlab.ordinals import (
     in_phi_range,
     is_natural,
     next_phi_value,
-    parse_ordinal,
     to_int,
     veblen,
 )

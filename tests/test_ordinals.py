@@ -92,6 +92,14 @@ def test_range_errors_name_the_bad_argument(make, message):
         make()
 
 
+def test_counts_are_read_as_integers():
+    assert enumerate_terms(True) == enumerate_terms(1) and iter_omega(True, 1) == OMEGA
+    for make in (lambda: enumerate_terms("3"), lambda: iter_omega("3", 1),
+                 lambda: enumerate_terms(2.0), lambda: iter_omega(2.0, 1)):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            make()
+
+
 @pytest.mark.parametrize("opening, core, closing", [
     ("(", "1", ")"), ("w^", "1", ""), ("phi(", "0", ",0)"), ("phi(0,", "1", ")"), ("(w^", "1", ")"),
 ])
@@ -227,7 +235,7 @@ def test_format_examples():
 
 
 def test_parse_format_identity_on_enumeration():
-    for t in enumerate_terms(5):
+    for t in enumerate_terms(MAX_ENUM_SIZE):
         assert parse_ordinal(format_ordinal(t)) == t
 
 

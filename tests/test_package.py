@@ -57,3 +57,18 @@ def test_sources_parse_as_python_3_10(source):
     # pyproject.toml's requires-python floor is 3.10.  This checks the grammar
     # only: a name or library call that 3.10 lacks still passes.
     ast.parse((ROOT / source).read_text(encoding="utf-8"), source, feature_version=(3, 10))
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_every_import_is_used(source):
+    # An imported name counts as used when it appears anywhere else in the
+    # module; a `from __future__` import sets a compiler flag and is exempt.
+    tree = ast.parse((ROOT / source).read_text(encoding="utf-8"), source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(alias.asname or alias.name).partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not imported - used, f"{source} imports {sorted(imported - used)} and never uses them"
