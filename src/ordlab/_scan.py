@@ -108,15 +108,20 @@ class Scanner:
             self.error("expected a numeral", start)
         return numeral_value(digits)
 
-    def nested(self, rule, *args):
-        """Every grammar's recursion guard: ``rule(*args)`` one level down, or a RangeError."""
+    def down(self):
+        """Every grammar's recursion guard: one nesting level down, or a
+        RangeError past MAX_DEPTH.  The caller steps back up with
+        ``self.depth -= 1``; a scanner is not read again after an error."""
         if self.depth == MAX_DEPTH:
             raise RangeError(f"nesting exceeds the depth cap {MAX_DEPTH}", self.pos)
         self.depth += 1
-        try:
-            return rule(*args)
-        finally:
-            self.depth -= 1
+
+    def nested(self, rule, *args):
+        """``rule(*args)`` one level down, for the theory and predicate grammars."""
+        self.down()
+        value = rule(*args)
+        self.depth -= 1
+        return value
 
     def end(self, message: str = "trailing input"):
         self.skip_ws()

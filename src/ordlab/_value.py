@@ -11,9 +11,10 @@ not pickle; assignment and deletion raise ``AttributeError``.
 
 The rule for writing a method out is traffic.  A class built on a hot path
 writes out its ``__init__``, as does one that checks or defaults a field.
-Only the classes compared inside ``compare``, ``format_ordinal`` and
-``is_natural`` (``Ordinal`` and ``VeblenAtom``) write out ``__eq__`` and
-``__hash__``.
+Only ``Ordinal`` and ``VeblenAtom`` write out ``__eq__`` and ``__hash__``:
+terms are compared by ``==`` in ``format_ordinal`` (an atom's parts against
+``ONE``'s), in the theory reduction and by callers, and hashed by callers.
+``compare`` and ``is_natural`` use neither.
 """
 
 from operator import attrgetter

@@ -5,8 +5,9 @@ value of the a-th Veblen function at b (phi_0(b) = w^b, phi_{a+1} enumerates
 the fixed points of phi_a).  Equal adjacent atoms are stored run-length
 encoded as (atom, count) pairs, so the natural number n is the single pair
 (phi(0,0), n).  The module's functions and its parser build canonical terms
-only, and on canonical terms structural equality coincides with ordinal
-equality, so ``==`` and ``hash`` are meaningful there.  The ``Ordinal`` and
+only, through private constructors that skip ``__init__``, and on canonical
+terms structural equality coincides with ordinal equality, so ``==`` and
+``hash`` are meaningful there.  The ``Ordinal`` and
 ``VeblenAtom`` constructors themselves check nothing: a term built by hand
 can be non-canonical, and then ``==`` can disagree with ``compare``
 (``Ordinal(((VeblenAtom(ZERO, EPSILON0), 1),))`` prints ``w^e0`` and compares
@@ -23,7 +24,7 @@ import operator
 from bisect import bisect_left, bisect_right, insort
 from functools import total_ordering
 
-from ._scan import MAX_WIDTH, NAME, Scanner
+from ._scan import MAX_WIDTH, NAME, Scanner, numeral_value
 from ._value import Value, set_field
 from .errors import RangeError
 
@@ -87,23 +88,46 @@ class Ordinal(Value):
         return _cmp(self, _coerce(other)) < 0
 
 
+# The unchecked constructors the module's own canonical terms are made with:
+# each skips __init__ and writes the slots through their descriptors.
+_new = object.__new__
+_set_parts = Ordinal.parts.__set__
+_set_index, _set_arg = VeblenAtom.index.__set__, VeblenAtom.arg.__set__
+
+
+def _ordinal(parts: tuple[tuple[VeblenAtom, int], ...]) -> Ordinal:
+    x = _new(Ordinal)
+    _set_parts(x, parts)
+    return x
+
+
+def _atom_term(a: Ordinal, b: Ordinal) -> Ordinal:
+    """The term phi(a, b), for b no fixed point of phi_a."""
+    atom = _new(VeblenAtom)
+    _set_index(atom, a)
+    _set_arg(atom, b)
+    return _ordinal(((atom, 1),))
+
+
 ZERO = Ordinal()
 _ATOM_ONE = VeblenAtom(ZERO, ZERO)
+_NATURALS = (ZERO,) + tuple(_ordinal(((_ATOM_ONE, n),)) for n in range(1, 64))
 
 
 def from_int(n: int) -> Ordinal:
-    """The finite ordinal n, stored as n copies of phi(0,0)."""
+    """The finite ordinal n, stored as n copies of phi(0,0); below 64, one
+    shared term."""
     n = operator.index(n)
+    if 0 <= n < 64:
+        return _NATURALS[n]
     if n < 0:
         raise RangeError("ordinals cannot be negative")
     if n > MAX_WIDTH:
         raise RangeError(f"numeral {n} exceeds the natural-number width {MAX_WIDTH}")
-    if n == 0:
-        return ZERO
-    return Ordinal(((_ATOM_ONE, n),))
+    return _ordinal(((_ATOM_ONE, n),))
 
 
-ONE = from_int(1)
+ONE = _NATURALS[1]
 
 
 def _coerce(x: Ordinal | int) -> Ordinal:
@@ -111,7 +135,8 @@ def _coerce(x: Ordinal | int) -> Ordinal:
 
 
 def is_natural(x: Ordinal) -> bool:
-    return not x.parts or (len(x.parts) == 1 and x.parts[0][0] == _ATOM_ONE)
+    parts = x.parts
+    return not parts or (len(parts) == 1 and not parts[0][0].index.parts and not parts[0][0].arg.parts)
 
 
 def to_int(x: Ordinal) -> int:
@@ -128,7 +153,7 @@ def single_atom(x: Ordinal) -> VeblenAtom | None:
 
 
 def atom_term(atom: VeblenAtom) -> Ordinal:
-    return Ordinal(((atom, 1),))
+    return _ordinal(((atom, 1),))
 
 
 # The public functions coerce their arguments once and then work on canonical
@@ -216,7 +241,7 @@ def _sum(terms: tuple[Ordinal, ...] | list[Ordinal]) -> Ordinal:
         else:
             runs += parts
         whole = None
-    return whole if whole is not None else Ordinal(tuple(runs))
+    return whole if whole is not None else _ordinal(tuple(runs))
 
 
 def successor(x: Ordinal | int) -> Ordinal:
@@ -229,10 +254,10 @@ def mul_nat(x: Ordinal | int, n: int) -> Ordinal:
     x, n = _coerce(x), operator.index(n)
     if n < 0:
         raise RangeError("multiplier must be a natural number")
-    if n == 0 or x.is_zero():
+    if n == 0 or not x.parts:
         return ZERO
     (lead, c), rest = x.parts[0], x.parts[1:]
-    return Ordinal((_run(lead, c * n),) + rest)
+    return _ordinal((_run(lead, c * n),) + rest)
 
 
 def _run(atom: VeblenAtom, count: int) -> tuple[VeblenAtom, int]:
@@ -248,7 +273,7 @@ def veblen(a: Ordinal | int, b: Ordinal | int) -> Ordinal:
     inner = single_atom(b)
     if inner is not None and _cmp(inner.index, a) == GT:
         return b
-    return atom_term(VeblenAtom(a, b))
+    return _atom_term(a, b)
 
 
 def iter_omega(m: int, x: Ordinal | int) -> Ordinal:
@@ -415,7 +440,7 @@ def _walk(asc: list[tuple[VeblenAtom, int]], size: int) -> tuple[list[Ordinal], 
             atom, sz = asc[i]
             for count in range(1, budget // sz + 1):
                 parts, k = prefix + ((atom, count),), key + (i, count)
-                term = Ordinal(parts)
+                term = _ordinal(parts)
                 terms.append(term)
                 left = budget - count * sz
                 sized, keys = by_size[size - left]
@@ -441,51 +466,80 @@ def _walk(asc: list[tuple[VeblenAtom, int]], size: int) -> tuple[list[Ordinal], 
 # "w^" and "phi(" nests one level, at most MAX_DEPTH in all.
 
 class _Parser(Scanner):
-    """The ordinal grammar's rules.  The theory grammar runs on a _Parser
-    too, so it reads iteration counts in place with these rules."""
+    """The ordinal grammar by precedence climbing (Pratt, POPL 1973): ``sum``
+    reads a sum in one loop and ``atom`` builds each phi value itself.  A
+    "(" or "phi(" costs two frames a level (sum, atom), a "w^" one.  The
+    theory grammar runs on a _Parser too, so it reads iteration counts in
+    place with ``sum``."""
 
     def sum(self) -> Ordinal:
-        value = self.prod()
-        while self.peek() == "+":
+        # Each term is added before "+" is looked for, so a run too wide is
+        # a RangeError before any later syntax error.
+        text = self.text
+        value = None
+        while True:
+            term = self.atom()
+            ch = text[self.pos:self.pos + 1]
+            if ch.isspace():
+                ch = self.peek()
+            if ch == "*":
+                self.pos += 1
+                term = mul_nat(term, self.numeral())
+                ch = self.peek()
+            value = term if value is None else _sum((value, term))
+            if ch != "+":
+                return value
             self.pos += 1
-            value = add(value, self.prod())
-        return value
-
-    def prod(self) -> Ordinal:
-        value = self.atom()
-        if self.peek() == "*":
-            self.pos += 1
-            value = mul_nat(value, self.numeral())
-        return value
 
     def atom(self) -> Ordinal:
-        ch = self.peek()
+        text, pos = self.text, self.pos
+        ch = text[pos:pos + 1]
+        if ch.isspace():
+            ch = self.peek()
+            pos = self.pos
         if ch == "(":
-            self.pos += 1
-            value = self.nested(self.sum)
+            self.pos = pos + 1
+            self.down()
+            value = self.sum()
+            self.depth -= 1
             self.eat(")")
             return value
+        match = NAME.match(text, pos)
+        self.pos = match.end()
+        word = match.group()
         if ch.isdecimal():
-            return from_int(self.numeral())
-        if ch.isalpha():
-            start = self.pos
-            name = self.word(NAME)
-            if name == "w":
-                if self.peek() == "^":
-                    self.pos += 1
-                    return veblen(ZERO, self.nested(self.atom))
+            if not word.isdecimal():
+                self.error("expected a numeral", pos)
+            n = numeral_value(word)
+            return _NATURALS[n] if n < 64 else from_int(n)
+        if word == "w":
+            ch = text[self.pos:self.pos + 1]
+            if ch.isspace():
+                ch = self.peek()
+            if ch != "^":
                 return OMEGA
-            if name == "e0":
-                return EPSILON0
-            if name == "phi":
-                self.eat("(")
-                a = self.nested(self.sum)
-                self.eat(",")
-                b = self.nested(self.sum)
-                self.eat(")")
-                return veblen(a, b)
-            self.error(f"unknown name {name!r}", start)
-        self.error("expected an ordinal term")
+            self.pos += 1
+            self.down()
+            b = self.atom()
+            self.depth -= 1
+            a = ZERO
+        elif word == "phi":
+            self.eat("(")
+            self.down()
+            a = self.sum()
+            self.eat(",")
+            b = self.sum()
+            self.depth -= 1
+            self.eat(")")
+        elif word == "e0":
+            return EPSILON0
+        else:
+            self.error(f"unknown name {word!r}" if ch.isalpha() else "expected an ordinal term", pos)
+        # phi(a, b) is b itself when b is one atom phi(c, d) with c > a.
+        parts = b.parts
+        if len(parts) == 1 and parts[0][1] == 1 and _cmp(parts[0][0].index, a) == GT:
+            return b
+        return _atom_term(a, b)
 
 
 def parse_ordinal(text: str) -> Ordinal:
@@ -497,33 +551,26 @@ def parse_ordinal(text: str) -> Ordinal:
 
 
 def format_ordinal(x: Ordinal) -> str:
-    """Canonical lowest-sugar text; parse_ordinal(format_ordinal(x)) == x."""
-    if x.is_zero():
-        return "0"
+    """Canonical lowest-sugar text; parse_ordinal(format_ordinal(x)) == x.
+    Atoms are told apart by their parts, and every level of nesting costs
+    one call of this function."""
     pieces = []
     for atom, count in x.parts:
-        if atom == _ATOM_ONE:
+        index, arg = atom.index.parts, atom.arg.parts
+        if index:
+            if not arg and index == ONE.parts:
+                text = "e0"
+            else:
+                text = f"phi({format_ordinal(atom.index)},{format_ordinal(atom.arg)})"
+        elif not arg:
             pieces.append(str(count))
-        elif count == 1:
-            pieces.append(_format_atom(atom))
+            continue
+        elif arg == ONE.parts:
+            text = "w"
+        elif len(arg) == 1 and (arg[0][1] == 1 or is_natural(atom.arg)):
+            # A lone atom or a bare numeral is already a grammar atom.
+            text = f"w^{format_ordinal(atom.arg)}"
         else:
-            pieces.append(f"{_format_atom(atom)}*{count}")
-    return "+".join(pieces)
-
-
-def _format_atom(atom: VeblenAtom) -> str:
-    if atom.index.is_zero():
-        if atom.arg == ONE:
-            return "w"
-        return f"w^{_format_exponent(atom.arg)}"
-    if atom.index == ONE and atom.arg.is_zero():
-        return "e0"
-    return f"phi({format_ordinal(atom.index)},{format_ordinal(atom.arg)})"
-
-
-def _format_exponent(b: Ordinal) -> str:
-    # A lone atom or a bare numeral is already a grammar atom; anything with
-    # "+" or "*" needs parentheses under "^".
-    if is_natural(b) or single_atom(b) is not None:
-        return format_ordinal(b)
-    return f"({format_ordinal(b)})"
+            text = f"w^({format_ordinal(atom.arg)})"
+        pieces.append(text if count == 1 else f"{text}*{count}")
+    return "+".join(pieces) or "0"

@@ -53,11 +53,45 @@ def test_parse_already_normal():
     assert x == veblen(ZERO, add(OMEGA, ONE))
 
 
-@pytest.mark.parametrize("text", ["", "w^", "phi(1)", "w+", "3*", "foo", "phi(1,2", "(w"])
-def test_parse_errors_carry_position(text):
-    with pytest.raises(ParseError) as err:
+# (text, error class, message, position).  A sum adds each term as soon as
+# it is read, so a run too wide is a RangeError, without a position, before
+# a later syntax error.
+PARSE_ERRORS = [
+    ("", ParseError, "expected an ordinal term", 0),
+    ("w^", ParseError, "expected an ordinal term", 2),
+    ("phi(1)", ParseError, "expected ','", 5),
+    ("w+", ParseError, "expected an ordinal term", 2),
+    ("3*", ParseError, "expected a numeral", 2),
+    ("foo", ParseError, "unknown name 'foo'", 0),
+    ("phi(1,2", ParseError, "expected ')'", 7),
+    ("(w", ParseError, "expected ')'", 2),
+    ("w*2*3", ParseError, "trailing input", 3),
+    ("2w", ParseError, "expected a numeral", 0),
+    ("w2", ParseError, "unknown name 'w2'", 0),
+    ("_", ParseError, "expected an ordinal term", 0),
+    ("4294967296+1)", RangeError, "run count 4294967297 exceeds the natural-number width 4294967296", None),
+]
+# One level past the cap, refused where the last level opens.
+TOO_DEEP = [("(", "1", ")", 101), ("w^", "1", "", 202), ("phi(", "1", ",0)", 404)]
+
+
+@pytest.mark.parametrize("text, error, message, position", [
+    pytest.param(*case, id=case[0]) for case in PARSE_ERRORS] + [
+    pytest.param(nest(opening, core, closing, MAX_DEPTH + 1), RangeError,
+                 f"nesting exceeds the depth cap {MAX_DEPTH}", position, id=f"{MAX_DEPTH + 1} {opening}")
+    for opening, core, closing, position in TOO_DEEP])
+def test_parse_errors_carry_position(text, error, message, position):
+    with pytest.raises(error) as err:
         parse_ordinal(text)
-    assert err.value.position is not None
+    assert type(err.value) is error
+    assert err.value.position == position
+    assert str(err.value) == message if position is None else f"{message} at position {position}"
+
+
+@pytest.mark.parametrize("text, value", [("phi ( 1 , w ^ 2 )", "phi(1,w^2)"), ("١+w", "w"),
+                                         ("\tw\t+\t1\t", "w+1")])
+def test_parse_reads_spacing_and_decimal_digits(text, value):
+    assert format_ordinal(parse_ordinal(text)) == value
 
 
 def test_parse_numeral_overflow():

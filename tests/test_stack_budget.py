@@ -96,10 +96,10 @@ PARSES = [
     (_predicate_tree, 5, PREDICATE_PARENS),
     (_predicate_tree, 5, PREDICATE_SUMS),
     (_predicate_tree, 2, PREDICATE_NOTS),
-    (parse_ordinal, 4, ORDINAL_PARENS),
-    (parse_ordinal, 2, ORDINAL_TOWER),
-    (parse_ordinal, 4, ORDINAL_INDEXES),
-    (parse_ordinal, 4, ORDINAL_ARGUMENTS),
+    (parse_ordinal, 2, ORDINAL_PARENS),
+    (parse_ordinal, 1, ORDINAL_TOWER),
+    (parse_ordinal, 2, ORDINAL_INDEXES),
+    (parse_ordinal, 2, ORDINAL_ARGUMENTS),
     (parse_theory, 2, THEORY_CONS),
     (parse_theory, 2, THEORY_RISING),
 ]
@@ -116,9 +116,9 @@ def _ordinals(text, count: int):
 WALKS = [
     (_compile, 1, lambda: [_predicate_tree(PREDICATE_NOTS(D - 2))]),
     (_compile, 2, lambda: [_predicate_tree(PREDICATE_SUMS(D // 2 - 1))]),
-    (format_ordinal, 3, _ordinals(ORDINAL_TOWER, 1)),
-    (format_ordinal, 2, _ordinals(ORDINAL_INDEXES, 1)),
-    (format_ordinal, 2, _ordinals(ORDINAL_ARGUMENTS, 1)),
+    (format_ordinal, 1, _ordinals(ORDINAL_TOWER, 1)),
+    (format_ordinal, 1, _ordinals(ORDINAL_INDEXES, 1)),
+    (format_ordinal, 1, _ordinals(ORDINAL_ARGUMENTS, 1)),
     *((walk, 2, _ordinals(text, 2)) for walk in (compare, add)
       for text in (ORDINAL_TOWER, ORDINAL_INDEXES, ORDINAL_ARGUMENTS)),
     (_reduce, 4, lambda: [parse_theory(THEORY_FALLING(D))]),  # the worm route
