@@ -116,13 +116,6 @@ class Scanner:
             raise RangeError(f"nesting exceeds the depth cap {MAX_DEPTH}", self.pos)
         self.depth += 1
 
-    def nested(self, rule, *args):
-        """``rule(*args)`` one level down, for the theory and predicate grammars."""
-        self.down()
-        value = rule(*args)
-        self.depth -= 1
-        return value
-
     def end(self, message: str = "trailing input"):
         self.skip_ws()
         if self.pos != len(self.text):

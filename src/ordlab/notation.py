@@ -57,8 +57,8 @@ class _PredicateParser(Scanner):
     tree depth.  Only factor reads "(", and a group is a sum or a predicate as
     its tag says; a predicate group ends the sum and comparison it starts.
     One rule reads both "or" and "and", one "not" and comparisons, one "+"
-    and "*": a "(" costs five Python frames (or_expr, not_expr, arith, factor,
-    nested), so MAX_DEPTH of them stay well inside the recursion limit."""
+    and "*": a "(" costs four Python frames (or_expr, not_expr, arith, factor)
+    and a "not" one, so MAX_DEPTH of them stay well inside the recursion limit."""
 
     error_type = PredicateError
 
@@ -77,7 +77,10 @@ class _PredicateParser(Scanner):
 
     def not_expr(self) -> tuple:
         if self.keyword("not"):
-            return ("not", self.predicate(self.nested(self.not_expr)))
+            self.down()
+            node = self.predicate(self.not_expr())
+            self.depth -= 1
+            return ("not", node)
         if self.keyword("true"):
             return ("bool", True)
         if self.keyword("false"):
@@ -106,7 +109,9 @@ class _PredicateParser(Scanner):
         ch = self.peek()
         if ch == "(":
             self.pos += 1
-            node = self.nested(self.or_expr)
+            self.down()
+            node = self.or_expr()
+            self.depth -= 1
             self.eat(")")
             return node
         if ch.isdecimal():

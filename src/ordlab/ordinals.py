@@ -101,8 +101,12 @@ def _ordinal(parts: tuple[tuple[VeblenAtom, int], ...]) -> Ordinal:
     return x
 
 
-def _atom_term(a: Ordinal, b: Ordinal) -> Ordinal:
-    """The term phi(a, b), for b no fixed point of phi_a."""
+def _phi(a: Ordinal, b: Ordinal) -> Ordinal:
+    """The canonical term phi(a, b) for canonical a and b: b itself when b
+    is one atom phi(c, d) with c > a, a fixed point of phi_a."""
+    parts = b.parts
+    if len(parts) == 1 and parts[0][1] == 1 and _cmp(parts[0][0].index, a) == GT:
+        return b
     atom = _new(VeblenAtom)
     _set_index(atom, a)
     _set_arg(atom, b)
@@ -211,37 +215,38 @@ def add(x: Ordinal | int, y: Ordinal | int) -> Ordinal:
 
 
 def _sum(terms: tuple[Ordinal, ...] | list[Ordinal]) -> Ordinal:
-    """The ordinal sum of canonical terms, left to right, in one pass.
-
-    ``runs`` holds the sum so far.  Each term pops the runs whose atom is
-    below its leading atom, then merges its leading run into an equal top
-    run under the width rule, and pushes its own runs, the same pairs.
-    Every run met costs one atom comparison.  A sum that is one term
-    unchanged is that term."""
+    """The ordinal sum of canonical terms, left to right, each pushed onto
+    one run stack by ``_push``; a sum that is one term unchanged is it."""
     runs: list[tuple[VeblenAtom, int]] = []
     whole = ZERO  # the term whose runs ``runs`` holds unchanged, or None
     for term in terms:
-        parts = term.parts
-        if not parts:
-            continue
-        lead = parts[0][0]
-        while runs:
-            top = runs[-1][0]
-            c = EQ if top is lead else _compare_atoms(top, lead)
-            if c != LT:
-                break
-            runs.pop()
-        if not runs:
-            runs += parts
-            whole = term
-            continue
-        if c == EQ:
-            runs[-1] = _run(lead, runs[-1][1] + parts[0][1])
-            runs += parts[1:]
-        else:
-            runs += parts
-        whole = None
+        if term.parts:
+            whole = term if _push(runs, term.parts) else None
     return whole if whole is not None else _ordinal(tuple(runs))
+
+
+def _push(runs: list[tuple[VeblenAtom, int]], parts: tuple[tuple[VeblenAtom, int], ...]) -> bool:
+    """Add the nonzero term with runs ``parts`` to the sum whose runs are
+    ``runs``, in place: pop the runs whose atom is below its leading atom,
+    merge its leading run into an equal top run under the width rule, and
+    push the rest, the same pairs.  Every run met costs one atom
+    comparison.  True when ``runs`` is then exactly ``parts``."""
+    lead = parts[0][0]
+    while runs:
+        top = runs[-1][0]
+        c = EQ if top is lead else _compare_atoms(top, lead)
+        if c != LT:
+            break
+        runs.pop()
+    if not runs:
+        runs += parts
+        return True
+    if c == EQ:
+        runs[-1] = _run(lead, runs[-1][1] + parts[0][1])
+        runs += parts[1:]
+    else:
+        runs += parts
+    return False
 
 
 def successor(x: Ordinal | int) -> Ordinal:
@@ -269,11 +274,7 @@ def _run(atom: VeblenAtom, count: int) -> tuple[VeblenAtom, int]:
 
 def veblen(a: Ordinal | int, b: Ordinal | int) -> Ordinal:
     """The canonical term for phi_a(b); collapses fixed-point arguments."""
-    a, b = _coerce(a), _coerce(b)
-    inner = single_atom(b)
-    if inner is not None and _cmp(inner.index, a) == GT:
-        return b
-    return _atom_term(a, b)
+    return _phi(_coerce(a), _coerce(b))
 
 
 def iter_omega(m: int, x: Ordinal | int) -> Ordinal:
@@ -467,16 +468,17 @@ def _walk(asc: list[tuple[VeblenAtom, int]], size: int) -> tuple[list[Ordinal], 
 
 class _Parser(Scanner):
     """The ordinal grammar by precedence climbing (Pratt, POPL 1973): ``sum``
-    reads a sum in one loop and ``atom`` builds each phi value itself.  A
-    "(" or "phi(" costs two frames a level (sum, atom), a "w^" one.  The
-    theory grammar runs on a _Parser too, so it reads iteration counts in
-    place with ``sum``."""
+    pushes its terms onto one run stack with ``add``'s ``_push``, in linear
+    time, and ``atom`` builds phi values with ``veblen``'s ``_phi``.  A "("
+    or "phi(" costs two frames a level (sum, atom), a "w^" one.  The theory
+    grammar reads iteration counts in place with ``sum``."""
 
     def sum(self) -> Ordinal:
-        # Each term is added before "+" is looked for, so a run too wide is
+        # Each term is pushed before "+" is looked for, so a run too wide is
         # a RangeError before any later syntax error.
         text = self.text
-        value = None
+        runs: list[tuple[VeblenAtom, int]] = []
+        whole = ZERO  # the term whose runs ``runs`` holds unchanged, or None
         while True:
             term = self.atom()
             ch = text[self.pos:self.pos + 1]
@@ -486,9 +488,10 @@ class _Parser(Scanner):
                 self.pos += 1
                 term = mul_nat(term, self.numeral())
                 ch = self.peek()
-            value = term if value is None else _sum((value, term))
+            if term.parts:
+                whole = term if _push(runs, term.parts) else None
             if ch != "+":
-                return value
+                return whole if whole is not None else _ordinal(tuple(runs))
             self.pos += 1
 
     def atom(self) -> Ordinal:
@@ -535,11 +538,7 @@ class _Parser(Scanner):
             return EPSILON0
         else:
             self.error(f"unknown name {word!r}" if ch.isalpha() else "expected an ordinal term", pos)
-        # phi(a, b) is b itself when b is one atom phi(c, d) with c > a.
-        parts = b.parts
-        if len(parts) == 1 and parts[0][1] == 1 and _cmp(parts[0][0].index, a) == GT:
-            return b
-        return _atom_term(a, b)
+        return _phi(a, b)
 
 
 def parse_ordinal(text: str) -> Ordinal:

@@ -289,7 +289,9 @@ def _theory(p: _Parser) -> TheoryExpr:
     else:
         p.error(f"expected 'rfn' or 'con', got {head!r}", start)
     iterations = p.sum()
-    over = p.nested(_theory, p)
+    p.down()
+    over = _theory(p)
+    p.depth -= 1
     if p.peek() != ")":
         p.error("expected ')'")
     if iterations.is_zero():

@@ -70,6 +70,9 @@ PARSE_ERRORS = [
     ("w2", ParseError, "unknown name 'w2'", 0),
     ("_", ParseError, "expected an ordinal term", 0),
     ("4294967296+1)", RangeError, "run count 4294967297 exceeds the natural-number width 4294967296", None),
+    # Runs that merge after a pop, or after a zero term, keep the width rule.
+    ("w*4294967295+1+w*2)", RangeError, "run count 4294967297 exceeds the natural-number width 4294967296", None),
+    ("0+w*4294967296+w x", RangeError, "run count 4294967297 exceeds the natural-number width 4294967296", None),
 ]
 # One level past the cap, refused where the last level opens.
 TOO_DEEP = [("(", "1", ")", 101), ("w^", "1", "", 202), ("phi(", "1", ",0)", 404)]
@@ -92,6 +95,15 @@ def test_parse_errors_carry_position(text, error, message, position):
                                          ("\tw\t+\t1\t", "w+1")])
 def test_parse_reads_spacing_and_decimal_digits(text, value):
     assert format_ordinal(parse_ordinal(text)) == value
+
+
+@pytest.mark.parametrize("text, value", [("0+w", "w"), ("w+0", "w"), ("1+w", "w"), ("w+w*2+1+w", "w*4")])
+def test_parse_sums_as_a_fold_of_add(text, value):
+    fold = ZERO
+    for term in text.split("+"):
+        fold = add(fold, parse_ordinal(term))
+    assert parse_ordinal(text) == fold
+    assert format_ordinal(fold) == value
 
 
 def test_parse_numeral_overflow():

@@ -46,9 +46,10 @@ def test_unknown_names_are_attribute_errors(name):
 
 
 ROOT = Path(__file__).resolve().parent.parent
-# Tier-1 imports bench/oracle.py as well, so it too must parse on 3.10.
+# Tier-1 imports bench/oracle.py as well, so it too must parse on 3.10, and
+# the demos ship with the package's sources.
 SOURCES = sorted([path.relative_to(ROOT).as_posix()
-                  for folder in ("src/ordlab", "tests") for path in (ROOT / folder).rglob("*.py")]
+                  for folder in ("src/ordlab", "tests", "demos") for path in (ROOT / folder).rglob("*.py")]
                  + ["bench/oracle.py"])
 
 

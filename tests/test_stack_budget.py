@@ -6,7 +6,7 @@ predicate compile, format_ordinal, compare, add, reduce_to_level and
 worm_ordinal).  Here each walk runs in a fresh thread under the recursion
 limit (f + 1) * MAX_DEPTH, with the caches it keeps cleared first.  That
 leaves one spare frame a level, so a change that spends one more frame on
-every level of any walk fails.  No budget exceeds N = 600, the bound the
+every level of any walk fails.  No budget exceeds N = 500, the bound the
 README's "Limits" section states."""
 
 import sys
@@ -22,7 +22,7 @@ from ordlab.theories import parse_theory, reduce_to_level
 from ordlab.worms import Worm, worm_ordinal
 
 D = MAX_DEPTH
-N = 600  # the frames the README promises a caller
+N = 500  # the frames the README promises a caller
 
 
 def _answer(limit: int, call):
@@ -93,15 +93,15 @@ THEORY_FALLING = lambda n: _rfn(range(n, 0, -1))
 # (parser, frames a level, the text nested n deep): each reads its text at
 # the cap and refuses one level more with a RangeError.
 PARSES = [
-    (_predicate_tree, 5, PREDICATE_PARENS),
-    (_predicate_tree, 5, PREDICATE_SUMS),
-    (_predicate_tree, 2, PREDICATE_NOTS),
+    (_predicate_tree, 4, PREDICATE_PARENS),
+    (_predicate_tree, 4, PREDICATE_SUMS),
+    (_predicate_tree, 1, PREDICATE_NOTS),
     (parse_ordinal, 2, ORDINAL_PARENS),
     (parse_ordinal, 1, ORDINAL_TOWER),
     (parse_ordinal, 2, ORDINAL_INDEXES),
     (parse_ordinal, 2, ORDINAL_ARGUMENTS),
-    (parse_theory, 2, THEORY_CONS),
-    (parse_theory, 2, THEORY_RISING),
+    (parse_theory, 1, THEORY_CONS),
+    (parse_theory, 1, THEORY_RISING),
 ]
 
 
