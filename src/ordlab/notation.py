@@ -54,11 +54,15 @@ class PredicateExpr(Value):
 class _PredicateParser(Scanner):
     """One-pass recursive descent: or < and < not < comparison < + < *.  Each
     "(" and "not" nests one level; chains are loops, and _tree_to_python caps
-    tree depth.  Only factor reads "(", and a group is a sum or a predicate as
-    its tag says; a predicate group ends the sum and comparison it starts.
-    One rule reads both "or" and "and", one "not" and comparisons, one "+"
-    and "*": a "(" costs four Python frames (or_expr, not_expr, arith, factor)
-    and a "not" one, so MAX_DEPTH of them stay well inside the recursion limit."""
+    tree depth.  A chain still builds a left-nested tree, one tree level a
+    link of "and", "or", "+" or "*": 99 comparisons joined by "or" compile
+    and 100 are refused, and a sum x+x+... of 99 terms compiles and one of
+    100 is refused.  Only factor reads "(", and a group is a sum or a
+    predicate as its tag says; a predicate group ends the sum and comparison
+    it starts.  One rule reads both "or" and "and", one "not" and
+    comparisons, one "+" and "*": a "(" costs four Python frames (or_expr,
+    not_expr, arith, factor) and a "not" one, so MAX_DEPTH of them stay well
+    inside the recursion limit."""
 
     error_type = PredicateError
 
@@ -153,7 +157,9 @@ def _tree_to_python(tree: tuple, numerals: list[int], depth: int) -> str:
     """Python source for ``tree`` at level ``depth``, each numeral written
     as the parameter n<i> and its value appended to ``numerals``.  The
     source nests one pair of parentheses per level, and CPython's compiler
-    refuses more than 200: a level past MAX_DEPTH is a RangeError."""
+    refuses more than 200: a level past MAX_DEPTH is a RangeError.  Each
+    link of an "and", "or", "+" or "*" chain is a level, so a chain of 100
+    comparisons or terms is refused and one of 99 compiles."""
     if depth > MAX_DEPTH:
         raise RangeError(f"predicate tree deeper than the depth cap {MAX_DEPTH}")
     tag = tree[0]

@@ -7,7 +7,7 @@ stated time budgets are asserted with perf counters.
 import random
 import time
 
-from conftest import BATTERY, oracle_next_phi, random_term, worms_up_to
+from conftest import BATTERY, GOLDEN_CORPUS, oracle_next_phi, random_term, worms_up_to
 from ordlab.cli import run
 from ordlab.formulas import (
     TOP,
@@ -291,13 +291,6 @@ def test_criterion_09_formula_goldens():
         "PA |- Con*(alpha,T) <-> forall beta < alpha Con(T+[Con*(beta,T)])"
     )
     _announce(9, "slowcon/sv/sv_star/rosser/constar byte-match goldens in both modes")
-
-
-GOLDEN_CORPUS = [
-    "0", "1", "7", "w", "w+1", "w*2", "w*2+1", "w^2", "w^w", "w^(w+1)",
-    "w^(w*2)", "e0", "e0+1", "e0*2", "e0+w+1", "phi(1,1)", "phi(2,0)",
-    "phi(w,0)", "phi(1,w)", "w^(e0+1)", "phi(e0,0)", "phi(1,2)+w^w*3+w+5",
-]
 
 
 def test_criterion_10_cli_contract(capsys):

@@ -446,37 +446,3 @@ def test_term_size_counts_indices_and_multiplicity():
     assert term_size(OMEGA) == 2
     assert term_size(EPSILON0) == 2
     assert term_size(parse_ordinal("w^w")) == 3
-
-
-# --- order laws -----------------------------------------------------------------
-
-def test_transitivity_sampled(pool4, rng):
-    terms = pool4 + [random_term(rng, 5) for _ in range(300)]
-    for _ in range(10_000):
-        x, y, z = rng.choice(terms), rng.choice(terms), rng.choice(terms)
-        if compare(x, y) <= 0 and compare(y, z) <= 0:
-            assert compare(x, z) <= 0
-
-
-def test_add_laws_sampled(rng):
-    terms = [random_term(rng, 4) for _ in range(120)]
-    for x in terms:
-        assert add(x, ZERO) == x
-        assert add(ZERO, x) == x
-    for _ in range(2000):
-        x, y, z = rng.choice(terms), rng.choice(terms), rng.choice(terms)
-        assert add(add(x, y), z) == add(x, add(y, z))
-        if compare(y, z) == LT:
-            assert compare(add(x, y), add(x, z)) == LT
-        assert compare(x, add(x, y)) <= 0
-
-
-def test_veblen_strictly_monotone_sampled(rng):
-    args = [random_term(rng, 3) for _ in range(60)]
-    idx = [ZERO, ONE, OMEGA]
-    for a in idx:
-        for x in args:
-            for y in args:
-                c = compare(x, y)
-                if c == LT:
-                    assert compare(veblen(a, x), veblen(a, y)) == LT

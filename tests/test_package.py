@@ -73,3 +73,23 @@ def test_every_import_is_used(source):
             imported |= {alias.asname or alias.name for alias in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert not imported - used, f"{source} imports {sorted(imported - used)} and never uses them"
+
+
+def test_shared_test_data_is_defined_once():
+    # A test module imports what tests/conftest.py defines instead of binding
+    # a copy of its own, which could drift from the shared one.
+    def bound(path, imports):
+        names = set()
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names |= {name.id for target in targets for name in ast.walk(target) if isinstance(name, ast.Name)}
+            elif imports and isinstance(node, ast.Import | ast.ImportFrom) and getattr(node, "module", None) != "conftest":
+                names |= {(alias.asname or alias.name).partition(".")[0] for alias in node.names}
+        return names
+
+    shared = bound(ROOT / "tests" / "conftest.py", imports=False)
+    copies = {path.name: bound(path, imports=True) & shared for path in (ROOT / "tests").glob("test_*.py")}
+    assert {name: names for name, names in copies.items() if names} == {}

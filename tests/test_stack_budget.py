@@ -2,12 +2,12 @@
 
 Each nesting level costs a walk a fixed number f of Python frames: each
 parser, and each walk over a value a parser builds at the cap (the
-predicate compile, format_ordinal, compare, add, reduce_to_level and
-worm_ordinal).  Here each walk runs in a fresh thread under the recursion
-limit (f + 1) * MAX_DEPTH, with the caches it keeps cleared first.  That
-leaves one spare frame a level, so a change that spends one more frame on
-every level of any walk fails.  No budget exceeds N = 500, the bound the
-README's "Limits" section states."""
+predicate compile, format_ordinal, term_size, compare, add, format_theory,
+reduce_to_level, worm_ordinal and worm_of_ordinal).  Here each walk runs in
+a fresh thread under the recursion limit (f + 1) * MAX_DEPTH, with the
+caches it keeps cleared first.  That leaves one spare frame a level, so a
+change that spends one more frame on every level of any walk fails.  No
+budget exceeds N = 500, the bound the README's "Limits" section states."""
 
 import sys
 import threading
@@ -17,9 +17,9 @@ from ordlab import worms
 from ordlab._scan import MAX_DEPTH
 from ordlab.errors import RangeError
 from ordlab.notation import _compile_tree, _PredicateParser, _scanner_factory
-from ordlab.ordinals import add, compare, format_ordinal, parse_ordinal
-from ordlab.theories import parse_theory, reduce_to_level
-from ordlab.worms import Worm, worm_ordinal
+from ordlab.ordinals import add, compare, format_ordinal, parse_ordinal, term_size
+from ordlab.theories import format_theory, parse_theory, reduce_to_level
+from ordlab.worms import Worm, worm_of_ordinal, worm_ordinal
 
 D = MAX_DEPTH
 N = 500  # the frames the README promises a caller
@@ -119,11 +119,16 @@ WALKS = [
     (format_ordinal, 1, _ordinals(ORDINAL_TOWER, 1)),
     (format_ordinal, 1, _ordinals(ORDINAL_INDEXES, 1)),
     (format_ordinal, 1, _ordinals(ORDINAL_ARGUMENTS, 1)),
+    *((term_size, 3, _ordinals(text, 1))  # 3.10's generator costs a frame; 3.11 keeps two spare
+      for text in (ORDINAL_TOWER, ORDINAL_INDEXES, ORDINAL_ARGUMENTS)),
     *((walk, 2, _ordinals(text, 2)) for walk in (compare, add)
       for text in (ORDINAL_TOWER, ORDINAL_INDEXES, ORDINAL_ARGUMENTS)),
+    *((format_theory, 1, lambda text=text: [parse_theory(text(D))])
+      for text in (THEORY_CONS, THEORY_RISING, THEORY_FALLING)),
     (_reduce, 4, lambda: [parse_theory(THEORY_FALLING(D))]),  # the worm route
     (_worm_ordinal, 4, lambda: [Worm(tuple(range(1, D + 1)))]),
     (_worm_ordinal, 4, lambda: [Worm(tuple(range(D, 0, -1)))]),
+    (worm_of_ordinal, 2, _ordinals(ORDINAL_TOWER, 1)),  # w^w^...^w, the tallest that answers
 ]
 
 

@@ -345,6 +345,8 @@ def test_every_rule_has_citation_and_known_transform():
     assert sorted(rule.ordinal_transform for rule in rules.rules) == sorted(TRANSFORMS)
     for transform in TRANSFORMS:
         assert rules.authorize(transform).ordinal_transform == transform
+    with pytest.raises(KeyError):
+        rules.authorize("nope")
 
 
 def test_rule_set_names_each_transform_once():
