@@ -176,10 +176,9 @@ _COMMANDS = [
 def _reading(arguments):
     """An argument list as _read() reads it: each option's flag mapped to its
     dest and whether it takes an integer (else it is a switch), each
-    positional's dest, whether it is an integer and whether it may be left
-    out, the count that may not, and every dest's default, as argparse
-    derives them."""
-    options, positionals, defaults = {}, [], {}
+    positional's dest and whether it is an integer, the count of positionals
+    that may be left out, and every dest's default, as argparse derives them."""
+    options, positionals, optional, defaults = {}, [], 0, {}
     for name, opts in arguments:
         integer = opts.get("type") is _integer
         if name.startswith("-"):
@@ -187,10 +186,10 @@ def _reading(arguments):
             options[name] = dest, integer
         else:
             dest = name
-            positionals.append((dest, integer, opts.get("nargs") == "?"))
+            positionals.append((dest, integer))
+            optional += opts.get("nargs") == "?"
         defaults[dest] = opts.get("default", False if opts.get("action") == "store_true" else None)
-    required = sum(not optional for *_, optional in positionals)
-    return options, positionals, required, defaults
+    return options, positionals, optional, defaults
 
 
 _GLOBAL = _reading(_OPTIONS)
@@ -198,48 +197,41 @@ _READINGS = {(group, name): (_reading(arguments), _GROUPS[group][1], call)
              for group, name, _, arguments, call in _COMMANDS}
 
 
-def _read_options(argv, i, options, values):
-    """Reads the options at argv[i:] up to the next word into ``values``,
-    taking each from ``options`` so that a repeat is refused; the index of
-    that word, or None for a token argparse must read."""
-    while i < len(argv) and argv[i].startswith("-"):
-        dest, integer = options.pop(argv[i], (None, False))
-        if dest is None:
-            return None
-        if integer:
-            i += 1
-            values[dest] = _numeral(argv[i]) if i < len(argv) else None
-            if values[dest] is None:
-                return None
-        else:
-            values[dest] = True
-        i += 1
-    return i
-
-
 def _read(argv: list[str]):
     """The namespace build_parser() makes of ``argv``, if argv is the options
     in their space-separated form, each at most once, then a command of the
     table and exactly its arguments; None for any other argv, which argparse
-    must read, to answer it or to print its help or usage error."""
-    options, _, _, defaults = _GLOBAL
-    values = dict(defaults)
-    i = _read_options(argv, 0, dict(options), values)
-    if i is None or tuple(argv[i:i + 2]) not in _READINGS:
-        return None
-    (options, positionals, required, defaults), module, call = _READINGS[argv[i], argv[i + 1]]
-    values.update(defaults, group=argv[i], command=argv[i + 1], module=module, call=call)
-    options, words = dict(options), []
-    i = _read_options(argv, i + 2, options, values)
-    while i is not None and i < len(argv):
-        words.append(argv[i])
-        i = _read_options(argv, i + 1, options, values)
-    if i is None or not required <= len(words) <= len(positionals):
-        return None
-    for (dest, integer, _), word in zip(positionals, words):
-        values[dest] = _numeral(word) if integer else word
+    must read, to answer it or to print its help or usage error.
+
+    One pass reads argv.  A word that starts with "-" is an option, taken
+    from the current table so that a repeat is refused: the global options
+    until the command, then the command's own.  The first other word and the
+    next name the command; every later word is its next positional."""
+    options, _, _, values = _GLOBAL
+    options, values, slots = dict(options), dict(values), None
+    argv = iter(argv)
+    for word in argv:
+        if word.startswith("-"):
+            dest, integer = options.pop(word, (None, False))
+            value = next(argv, "") if integer else True
+        elif slots is None:
+            command = word, next(argv, None)
+            if command not in _READINGS:
+                return None
+            (options, slots, optional, defaults), module, call = _READINGS[command]
+            options, slots = dict(options), slots[::-1]  # pop() takes them in order
+            values.update(defaults, group=word, command=command[1], module=module, call=call)
+            continue
+        else:
+            dest, integer = slots.pop() if slots else (None, False)
+            value = word
+        if dest is None:
+            return None
+        values[dest] = _numeral(value) if integer else value
         if values[dest] is None:
             return None
+    if slots is None or len(slots) > optional:
+        return None
     return SimpleNamespace(**values)
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import settings
 
 from ordlab.cli import _COMMANDS
+from ordlab.formulas import TOP, Hole, rosser_combination, slowcon, sv, sv_star
 from ordlab.ordinals import add, compare, enumerate_terms, from_int, in_phi_range, veblen
 from ordlab.worms import Worm
 
@@ -36,6 +37,30 @@ GOLDEN_CORPUS = [
     "w^(w*2)", "e0", "e0+1", "e0*2", "e0+w+1", "phi(1,1)", "phi(2,0)",
     "phi(w,0)", "phi(1,w)", "w^(e0+1)", "phi(e0,0)", "phi(1,2)+w^w*3+w+5",
 ]
+
+PHI, PSI, THETA = Hole("φ"), Hole("ψ"), Hole("θ")
+
+# Acceptance criterion 9's goldens: each formula template with its UTF-8 and
+# its ASCII rendering.  test_formulas.py's golden tests read them too, and
+# take their ids from the keys.
+FORMULA_GOLDENS = {
+    "slowcon": (slowcon(PHI),
+                "∀x(F_e0(x)↓ → Con(ISigma_x + φ))",
+                "forall x (F_e0(x)| -> Con(ISigma_x + phi))"),
+    "slowcon_top": (slowcon(TOP),
+                    "∀x(F_e0(x)↓ → Con(ISigma_x))",
+                    "forall x (F_e0(x)| -> Con(ISigma_x))"),
+    "sv": (sv(PHI),
+           "φ ∧ ∀x(Con(ISigma_x + φ) → Con²(ISigma_x + φ))",
+           "phi and forall x (Con(ISigma_x + phi) -> Con^2(ISigma_x + phi))"),
+    "sv_star": (sv_star(PHI, PSI),
+                "φ ∨ (¬φ ∧ ψ ∧ ∀x(Con(ISigma_x + (¬φ ∧ ψ)) → Con²(ISigma_x + (¬φ ∧ ψ))) ∧ ψ)",
+                "phi or (not phi and psi and forall x (Con(ISigma_x + (not phi and psi)) -> "
+                "Con^2(ISigma_x + (not phi and psi))) and psi)"),
+    "rosser": (rosser_combination(PHI, PSI, THETA),
+               "φ ∨ (ψ ∧ θ)",
+               "phi or (psi and theta)"),
+}
 
 
 def random_term(rng: random.Random, depth: int):

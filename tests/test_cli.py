@@ -652,6 +652,7 @@ def test_readme_shows_every_command(capsys, registered_commands):
         command, _, comment = line.partition("#")
         words = shlex.split(command)
         shown.update(zip(words, words[1:]))
+        assert _read(words[1:]) is not None, line
         code, out, err = invoke(capsys, *words[1:])
         assert (code, err) == (0, ""), line
         comment = comment.strip()

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from conftest import FORMULA_GOLDENS, PHI, PSI
 from ordlab.errors import CaptureError, RangeError
 from ordlab.formulas import (
     TOP,
@@ -28,59 +29,17 @@ from ordlab.formulas import (
     sv_star,
 )
 
-PHI, PSI, THETA = Hole("φ"), Hole("ψ"), Hole("θ")
 
-SV_BODY = "∀x(Con(ISigma_x + φ) → Con²(ISigma_x + φ))"
-
-GOLDENS = {
-    "slowcon": "∀x(F_e0(x)↓ → Con(ISigma_x + φ))",
-    "slowcon_top": "∀x(F_e0(x)↓ → Con(ISigma_x))",
-    "sv": f"φ ∧ {SV_BODY}",
-    "sv_star": (
-        "φ ∨ (¬φ ∧ ψ ∧ ∀x(Con(ISigma_x + (¬φ ∧ ψ)) → "
-        "Con²(ISigma_x + (¬φ ∧ ψ))) ∧ ψ)"
-    ),
-    "rosser": "φ ∨ (ψ ∧ θ)",
-}
-
-GOLDENS_ASCII = {
-    "slowcon": "forall x (F_e0(x)| -> Con(ISigma_x + phi))",
-    "slowcon_top": "forall x (F_e0(x)| -> Con(ISigma_x))",
-    "sv": "phi and forall x (Con(ISigma_x + phi) -> Con^2(ISigma_x + phi))",
-    "sv_star": (
-        "phi or (not phi and psi and forall x (Con(ISigma_x + (not phi and psi)) -> "
-        "Con^2(ISigma_x + (not phi and psi))) and psi)"
-    ),
-    "rosser": "phi or (psi and theta)",
-}
-
-
-def _build(name):
-    if name == "slowcon":
-        return slowcon(PHI)
-    if name == "slowcon_top":
-        return slowcon(TOP)
-    if name == "sv":
-        return sv(PHI)
-    if name == "sv_star":
-        return sv_star(PHI, PSI)
-    return rosser_combination(PHI, PSI, THETA)
-
-
-@pytest.mark.parametrize("name", ["slowcon", "slowcon_top", "sv", "sv_star", "rosser"])
+@pytest.mark.parametrize("name", FORMULA_GOLDENS)
 def test_goldens_utf8(name):
-    assert pretty(_build(name)) == GOLDENS[name]
+    formula, golden, _ = FORMULA_GOLDENS[name]
+    assert pretty(formula) == golden
 
 
-@pytest.mark.parametrize("name", ["slowcon", "slowcon_top", "sv", "sv_star", "rosser"])
+@pytest.mark.parametrize("name", FORMULA_GOLDENS)
 def test_goldens_ascii(name):
-    assert pretty(_build(name), ascii_mode=True) == GOLDENS_ASCII[name]
-
-
-def test_constar_goldens():
-    assert con_star_equation("a", "PA") == (
-        "PA ⊢ Con★(a,PA) ↔ ∀β ≺ a Con(PA+⌜Con★(β,PA)⌝)"
-    )
+    formula, _, golden = FORMULA_GOLDENS[name]
+    assert pretty(formula, ascii_mode=True) == golden
 
 
 def test_constar_avoids_bound_name_collision():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from conftest import BATTERY
-from oracle import order_key
+from oracle import least_counterexample, order_key
 from ordlab._scan import MAX_DEPTH
 from ordlab.errors import PredicateError, RangeError
 from ordlab.notation import (
@@ -280,16 +280,10 @@ def test_strict_linear_order_exhaustive(presentation):
     p = presentation
     bound = 200
     k = p.least_counterexample(bound)
-    ranks = {}
-    for i in range(bound + 1):
-        if k is None or i < k:
-            ranks[i] = i
-        else:
-            ranks[i] = k + (bound - i)
     # pairwise agreement with a linearization implies trichotomy+transitivity
     for a in range(bound + 1):
         for b in range(bound + 1):
-            assert p.less(a, b) == (ranks[a] < ranks[b])
+            assert p.less(a, b) == (order_key(k, a) < order_key(k, b))
             if a == b:
                 assert not p.less(a, b)
 
@@ -304,7 +298,7 @@ def test_locality_instrumented(presentation):
         top = max(a, b)
         k = p.least_counterexample(top)
         assert calls == list(range(top + 1 if k is None else k + 1))
-        assert k == next((n for n in range(top + 1) if not presentation.predicate.evaluate(n)), None)
+        assert k == least_counterexample(presentation.predicate.evaluate, top)
 
 
 # --- check_ascending -----------------------------------------------------------------
@@ -441,7 +435,7 @@ def test_recorder_after_a_larger_query(text):
     p.less(199, 0)
     for a, b in ((4, 5), (30, 12), (2, 0), (150, 170)):
         top = max(a, b)
-        k = next((n for n in range(top + 1) if not p.predicate.evaluate(n)), None)
+        k = least_counterexample(p.predicate.evaluate, top)
         assert p.less(a, b) == (order_key(k, a) < order_key(k, b))
         assert p.least_counterexample(top) == k
 

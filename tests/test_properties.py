@@ -1,7 +1,7 @@
 """Property tests for the algebraic laws, over randomly built canonical terms."""
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from ordlab.ordinals import (
     EQ,
@@ -81,6 +81,7 @@ def test_veblen_fixed_point_absorption(a, b, x):
 
 
 @given(ordinals, ordinals, ordinals)
+@example(ZERO, ZERO, from_int(1))
 def test_veblen_monotone_in_argument(a, x, y):
     c = compare(x, y)
     assert compare(veblen(a, x), veblen(a, y)) == c

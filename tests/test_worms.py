@@ -162,7 +162,3 @@ def test_long_worms_do_not_recurse_along_their_length():
     assert worm_of_ordinal(parse_ordinal(f"w^2*{n}+w+3")) == Worm((0, 0, 0, 1) + (0, 1, 1) * n)
     with pytest.raises(RangeError):
         worm_of_ordinal(from_int(2**32))
-
-
-def test_worm_cache_is_bounded():
-    assert worm_ordinal.cache_info().maxsize is not None
