@@ -11,10 +11,17 @@ not pickle; assignment and deletion raise ``AttributeError``.
 
 The rule for writing a method out is traffic.  A class built on a hot path
 writes out its ``__init__``, as does one that checks or defaults a field.
+Four classes built on the hottest paths also have a private unchecked
+maker, which skips ``__init__`` and writes the slots through their
+descriptors: ``Ordinal`` and ``VeblenAtom`` (``ordinals._ordinal`` and
+``_phi``), ``Worm`` (``worms._worm``) and ``Reflect``
+(``theories._reflect``).  Only a caller that has itself proved every cap
+the constructor checks uses a maker; every other caller, and every caller
+outside the package, goes through the checked constructor.
 Only ``Ordinal`` and ``VeblenAtom`` write out ``__eq__`` and ``__hash__``:
-terms are compared by ``==`` in ``format_ordinal`` (an atom's parts against
-``ONE``'s), in the theory reduction and by callers, and hashed by callers.
-``compare`` and ``is_natural`` use neither.
+terms are compared by ``==`` in the theory reduction and by callers, and
+hashed by callers.  ``compare``, ``is_natural`` and ``format_ordinal`` use
+neither.
 """
 
 from operator import attrgetter

@@ -551,25 +551,28 @@ def parse_ordinal(text: str) -> Ordinal:
 
 def format_ordinal(x: Ordinal) -> str:
     """Canonical lowest-sugar text; parse_ordinal(format_ordinal(x)) == x.
-    Atoms are told apart by their parts, and every level of nesting costs
-    one call of this function."""
+    Atoms are told apart by their parts, never by ``==``, and every level
+    of nesting costs one call of this function."""
     pieces = []
     for atom, count in x.parts:
         index, arg = atom.index.parts, atom.arg.parts
         if index:
-            if not arg and index == ONE.parts:
+            if not arg and is_natural(atom.index) and index[0][1] == 1:
                 text = "e0"
             else:
                 text = f"phi({format_ordinal(atom.index)},{format_ordinal(atom.arg)})"
         elif not arg:
             pieces.append(str(count))
             continue
-        elif arg == ONE.parts:
-            text = "w"
-        elif len(arg) == 1 and (arg[0][1] == 1 or is_natural(atom.arg)):
-            # A lone atom or a bare numeral is already a grammar atom.
-            text = f"w^{format_ordinal(atom.arg)}"
         else:
-            text = f"w^({format_ordinal(atom.arg)})"
+            lead, n = arg[0]
+            if len(arg) == 1 and not lead.index.parts and not lead.arg.parts:
+                # w^n for a natural n, whose numeral is a grammar atom.
+                text = "w" if n == 1 else f"w^{n}"
+            elif len(arg) == 1 and n == 1:
+                # A lone atom is already a grammar atom.
+                text = f"w^{format_ordinal(atom.arg)}"
+            else:
+                text = f"w^({format_ordinal(atom.arg)})"
         pieces.append(text if count == 1 else f"{text}*{count}")
     return "+".join(pieces) or "0"

@@ -37,7 +37,7 @@ from .ordinals import (
     veblen,
     _Parser,
 )
-from .worms import Worm, worm_ordinal
+from .worms import _worm, worm_ordinal
 
 
 class TheoryExpr(Value):
@@ -86,6 +86,22 @@ class Reflect(TheoryExpr):
 
     def __repr__(self) -> str:
         return f"Reflect({self.level}, {self.iterations!r}, {self.over!r})"
+
+
+# The unchecked maker, for callers that have proved the level and the depth
+# under the cap and the iterations positive: it skips __init__ and writes
+# the slots through their descriptors.
+_set_level, _set_iterations = Reflect.level.__set__, Reflect.iterations.__set__
+_set_over, _set_depth = Reflect.over.__set__, Reflect.depth.__set__
+
+
+def _reflect(level: int, iterations: Ordinal, over: TheoryExpr, depth: int) -> Reflect:
+    t = object.__new__(Reflect)
+    _set_level(t, level)
+    _set_iterations(t, iterations)
+    _set_over(t, over)
+    _set_depth(t, depth)
+    return t
 
 
 EA_PLUS = Base("EA+")
@@ -196,11 +212,13 @@ def pi_ordinal(t: TheoryExpr, k: int) -> Ordinal:
     gamma = _reduce_ea(chain, k)
     if gamma is None:
         # A level gap the rules cannot bridge: a worm-shaped theory is
-        # measured at level 1 by its worm (Beklemishev 2004).
-        if k != 1 or any(iterations != ONE for _, iterations in chain):
+        # measured at level 1 by its worm (Beklemishev 2004).  Each level
+        # was checked when its Reflect was made, so the worm is made
+        # unchecked.
+        if k != 1 or any(iterations is not ONE and iterations != ONE for _, iterations in chain):
             raise ShapeError(f"{format_theory(t)} is outside the supported shapes at level {k}")
         default_rules().authorize("worm-route")
-        gamma = worm_ordinal(Worm(level - 1 for level, _ in chain))
+        gamma = worm_ordinal(_worm(tuple([level - 1 for level, _ in chain])))
     return gamma
 
 

@@ -7,10 +7,20 @@ assertion (printed "T") and has ordinal 0.  o respects the 0-consistency
 ordering, so worms compare by comparing their ordinals.
 
 A Worm checks its letters once, when it is made; o and its inverse then
-work on bare letters.  o is memoised in one bounded cache of 2**12 entries,
-which the pieces of a worm share.  Its keys are bytes, one byte a letter: a
-letter is at most MAX_DEPTH = 100, so it fits, and a bytes key stores its
-letters in an eighth of a tuple's space and keeps its hash.
+work on bare letters.  The public constructor Worm(...) checks every
+letter.  Worms and worm theories are made on hot paths, so, as with
+Ordinal and VeblenAtom (ordinals._ordinal and _phi), Worm and Reflect each
+have a private unchecked maker, _worm here and theories._reflect, that
+skips __init__.  Only a caller that has proved the caps itself uses one:
+parse_worm and lift check their largest letter, drop and worm_of_ordinal
+make letters that are in range by construction, theory_of_worm checks the
+length and the top reflection level once, not once per letter, and the
+worm route of theories.pi_ordinal reads levels its Reflects checked.
+
+o is memoised in one bounded cache of 2**12 entries, which the pieces of a
+worm share.  Its keys are bytes, one byte a letter: a letter is at most
+MAX_DEPTH = 100, so it fits, and a bytes key stores its letters in an
+eighth of a tuple's space and keeps its hash.
 """
 
 from __future__ import annotations
@@ -62,6 +72,18 @@ class Worm(Value):
         return f"Worm({format_worm(self)!r})"
 
 
+# The unchecked maker, for callers that have proved every letter a natural
+# number under the cap: it skips __init__ and writes the slot through its
+# descriptor.
+_set_letters = Worm.letters.__set__
+
+
+def _worm(letters: tuple[int, ...]) -> Worm:
+    w = object.__new__(Worm)
+    _set_letters(w, letters)
+    return w
+
+
 TOP = Worm(())
 
 
@@ -70,14 +92,16 @@ def lift(w: Worm, k: int) -> Worm:
     k = operator.index(k)
     if k < 0:
         raise WormError("lift amount must be a natural number")
-    return Worm(l + k for l in w.letters)
+    letters = tuple([l + k for l in w.letters])
+    within_depth(max(letters, default=0), "worm letter")
+    return _worm(letters)
 
 
 def drop(w: Worm) -> Worm:
     """Subtract 1 from every letter; defined only on 0-free worms."""
     if 0 in w.letters:
         raise WormError("cannot drop a worm containing the letter 0")
-    return Worm(l - 1 for l in w.letters)
+    return _worm(tuple([l - 1 for l in w.letters]))
 
 
 def worm_ordinal(w: Worm) -> Ordinal:
@@ -131,7 +155,7 @@ def worm_of_ordinal(x: Ordinal) -> Worm:
     """
     if compare(x, EPSILON0) >= 0:
         raise RangeError(f"{x} is not below e0, which worms cannot reach")
-    return Worm(_letters_of(x, 0))
+    return _worm(_letters_of(x, 0))
 
 
 def _letters_of(x: Ordinal, k: int) -> tuple[int, ...]:
@@ -158,12 +182,14 @@ def theory_of_worm(w: Worm):
     """Nested single reflections over EA+: the letter n becomes one step of
     Pi_{n+1} reflection, leftmost letter outermost, so each letter nests one
     level and a worm may have at most MAX_DEPTH letters."""
-    from .theories import EA_PLUS, Reflect
+    from .theories import EA_PLUS, _reflect
 
-    within_depth(len(w.letters), "worm length")
+    letters = w.letters
+    within_depth(len(letters), "worm length")
+    within_depth(max(letters, default=0) + 1, "reflection level")
     expr = EA_PLUS
-    for letter in reversed(w.letters):
-        expr = Reflect(letter + 1, ONE, expr)
+    for depth, letter in enumerate(reversed(letters), 1):
+        expr = _reflect(letter + 1, ONE, expr, depth)
     return expr
 
 
@@ -178,7 +204,8 @@ def parse_worm(text: str) -> Worm:
         letters.append(numeral_value(piece))
     if not letters:
         raise ParseError("empty worm text; the empty worm is written 'T'")
-    return Worm(letters)
+    within_depth(max(letters), "worm letter")
+    return _worm(tuple(letters))
 
 
 def format_worm(w: Worm) -> str:

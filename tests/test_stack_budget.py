@@ -3,11 +3,13 @@
 Each nesting level costs a walk a fixed number f of Python frames: each
 parser, and each walk over a value a parser builds at the cap (the
 predicate compile, format_ordinal, term_size, compare, add, format_theory,
-reduce_to_level, worm_ordinal and worm_of_ordinal).  Here each walk runs in
-a fresh thread under the recursion limit (f + 1) * MAX_DEPTH, with the
-caches it keeps cleared first.  That leaves one spare frame a level, so a
-change that spends one more frame on every level of any walk fails.  No
-budget exceeds N = 500, the bound the README's "Limits" section states."""
+reduce_to_level, worm_ordinal and worm_of_ordinal).  theory_of_worm and the
+worm route loop over a worm's letters and a theory's chain, and spend no
+frame a letter.  Here each walk runs in a fresh thread under the recursion
+limit (f + 1) * MAX_DEPTH, with the caches it keeps cleared first.  That
+leaves one spare frame a level, so a change that spends one more frame on
+every level of any walk fails.  No budget exceeds N = 500, the bound the
+README's "Limits" section states."""
 
 import sys
 import threading
@@ -19,7 +21,7 @@ from ordlab.errors import RangeError
 from ordlab.notation import _compile_tree, _PredicateParser, _scanner_factory
 from ordlab.ordinals import add, compare, format_ordinal, parse_ordinal, term_size
 from ordlab.theories import format_theory, parse_theory, reduce_to_level
-from ordlab.worms import Worm, worm_of_ordinal, worm_ordinal
+from ordlab.worms import Worm, theory_of_worm, worm_of_ordinal, worm_ordinal
 
 D = MAX_DEPTH
 N = 500  # the frames the README promises a caller
@@ -129,6 +131,10 @@ WALKS = [
     (_worm_ordinal, 4, lambda: [Worm(tuple(range(1, D + 1)))]),
     (_worm_ordinal, 4, lambda: [Worm(tuple(range(D, 0, -1)))]),
     (worm_of_ordinal, 2, _ordinals(ORDINAL_TOWER, 1)),  # w^w^...^w, the tallest that answers
+    # Worms of 100 letters, each one reflection of the chain; "1 0" keeps
+    # the worm route's recursion through o shallow.
+    (theory_of_worm, 0, lambda: [Worm(tuple(range(D - 1, -1, -1)))]),
+    (_reduce, 0, lambda: [theory_of_worm(Worm((1, 0) * (D // 2)))]),
 ]
 
 

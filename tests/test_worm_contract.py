@@ -8,6 +8,12 @@ that bench/oracle.py's worm_ordinal gives, from an empty cache and from a
 full one; that reference is an uncached recursion on Cantor normal forms
 and uses neither ordlab's add nor its veblen.  worm_of_ordinal's refusals
 keep their text, each one error line at the CLI.
+
+parse_worm, lift, drop, worm_of_ordinal and theory_of_worm make their values
+with the unchecked makers worms._worm and theories._reflect, after proving
+the caps themselves: what they make equals what the public Worm and Reflect
+make from the same fields, and at each cap they refuse with the error the
+public constructors give.
 """
 
 import itertools
@@ -15,11 +21,22 @@ import itertools
 import pytest
 
 import oracle
+from conftest import worms_up_to
 from ordlab._scan import MAX_DEPTH
 from ordlab.cli import run
-from ordlab.errors import RangeError
-from ordlab.ordinals import iter_omega, parse_ordinal
-from ordlab.worms import Worm, parse_worm, worm_of_ordinal, worm_ordinal
+from ordlab.errors import OrdlabError, RangeError
+from ordlab.ordinals import ONE, iter_omega, parse_ordinal
+from ordlab.theories import EA_PLUS, Reflect
+from ordlab.worms import (
+    Worm,
+    drop,
+    format_worm,
+    lift,
+    parse_worm,
+    theory_of_worm,
+    worm_of_ordinal,
+    worm_ordinal,
+)
 
 MAXSIZE = 2**12
 
@@ -110,3 +127,85 @@ def test_of_ordinal_letter_cap_at_the_api():
     with pytest.raises(RangeError) as caught:
         worm_of_ordinal(iter_omega(MAX_DEPTH + 1, 1))
     assert str(caught.value) == f"worm letter {MAX_DEPTH + 1} exceeds the depth cap {MAX_DEPTH}"
+
+
+# --- the unchecked makers ------------------------------------------------------
+
+def _public_chain(letters) -> Reflect:
+    """theory_of_worm's chain, made with the public Reflect."""
+    expr = EA_PLUS
+    for letter in reversed(letters):
+        expr = Reflect(letter + 1, ONE, expr)
+    return expr
+
+
+def _assert_public(made: Worm, letters):
+    """``made`` is the worm the public constructor makes from ``letters``."""
+    public = Worm(letters)
+    assert made == public and hash(made) == hash(public) and repr(made) == repr(public)
+    assert type(made.letters) is tuple and all(type(l) is int for l in made.letters)
+
+
+def _error(make) -> tuple[type, str]:
+    with pytest.raises(OrdlabError) as caught:
+        make()
+    return type(caught.value), str(caught.value)
+
+
+def test_unchecked_makers_agree_with_the_public_constructors():
+    for w in worms_up_to(7):
+        letters = w.letters
+        _assert_public(parse_worm(format_worm(w)), letters)
+        _assert_public(lift(w, 1), [l + 1 for l in letters])
+        if 0 not in letters:
+            _assert_public(drop(w), [l - 1 for l in letters])
+        back = worm_of_ordinal(worm_ordinal(w))
+        _assert_public(back, back.letters)
+        assert worm_ordinal(back) == worm_ordinal(w)
+        made, public = theory_of_worm(w), _public_chain(letters)
+        assert made == public and hash(made) == hash(public) and repr(made) == repr(public)
+        while made is not EA_PLUS:
+            assert made.depth == public.depth
+            made, public = made.over, public.over
+
+
+@pytest.mark.parametrize("letter", [MAX_DEPTH, MAX_DEPTH + 1, 255, 256, 10**5])
+def test_parse_worm_refuses_as_the_constructor_does(letter):
+    letters = (0, letter, 1)
+    text = " ".join(map(str, letters))
+    if letter <= MAX_DEPTH:
+        _assert_public(parse_worm(text), letters)
+    else:
+        refusal = _error(lambda: Worm(letters))
+        assert refusal == (RangeError, f"worm letter {letter} exceeds the depth cap {MAX_DEPTH}")
+        assert _error(lambda: parse_worm(text)) == refusal
+
+
+@pytest.mark.parametrize("k", [1, 2, 10**30])
+def test_lift_refuses_as_the_constructor_does(k):
+    # Lifted by 1 the letter 99 reaches the cap; by 2, one past it.
+    w = Worm((0, MAX_DEPTH - 1, 3))
+    letters = [l + k for l in w.letters]
+    if max(letters) <= MAX_DEPTH:
+        _assert_public(lift(w, k), letters)
+    else:
+        refusal = _error(lambda: Worm(letters))
+        assert refusal[0] is RangeError
+        assert _error(lambda: lift(w, k)) == refusal
+
+
+@pytest.mark.parametrize("letters, message", [
+    # A letter n is one step of Pi_{n+1} reflection: the letter 100 is level 101.
+    ((0, MAX_DEPTH, 1), f"reflection level {MAX_DEPTH + 1} exceeds the depth cap {MAX_DEPTH}"),
+    ((0,) * (MAX_DEPTH + 1), f"worm length {MAX_DEPTH + 1} exceeds the depth cap {MAX_DEPTH}"),
+    # The length is checked before the letters.
+    ((MAX_DEPTH,) + (0,) * MAX_DEPTH, f"worm length {MAX_DEPTH + 1} exceeds the depth cap {MAX_DEPTH}"),
+], ids=["letter-100", "101-letters", "101-letters-with-a-100"])
+def test_to_theory_refusals(capsys, letters, message):
+    if len(letters) <= MAX_DEPTH:
+        assert _error(lambda: _public_chain(letters)) == (RangeError, message)
+    assert _error(lambda: theory_of_worm(Worm(letters))) == (RangeError, message)
+    assert run(["worm", "to-theory", " ".join(map(str, letters))]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: range: {message}\n"
