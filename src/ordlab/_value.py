@@ -15,7 +15,8 @@ Four classes built on the hottest paths also have a private unchecked
 maker, which skips ``__init__`` and writes the slots through their
 descriptors: ``Ordinal`` and ``VeblenAtom`` (``ordinals._ordinal`` and
 ``_phi``), ``Worm`` (``worms._worm``) and ``Reflect``
-(``theories._reflect``).  Only a caller that has itself proved every cap
+(``theories._worm_theory``, which makes a worm's whole chain of
+reflections in one loop).  Only a caller that has itself proved every cap
 the constructor checks uses a maker; every other caller, and every caller
 outside the package, goes through the checked constructor.
 Only ``Ordinal`` and ``VeblenAtom`` write out ``__eq__`` and ``__hash__``:

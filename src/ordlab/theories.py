@@ -88,20 +88,26 @@ class Reflect(TheoryExpr):
         return f"Reflect({self.level}, {self.iterations!r}, {self.over!r})"
 
 
-# The unchecked maker, for callers that have proved the level and the depth
-# under the cap and the iterations positive: it skips __init__ and writes
-# the slots through their descriptors.
+# The unchecked maker, for theory_of_worm, which has proved the length and
+# the top level under the cap: it skips __init__ and writes the slots
+# through their descriptors.
 _set_level, _set_iterations = Reflect.level.__set__, Reflect.iterations.__set__
 _set_over, _set_depth = Reflect.over.__set__, Reflect.depth.__set__
 
 
-def _reflect(level: int, iterations: Ordinal, over: TheoryExpr, depth: int) -> Reflect:
-    t = object.__new__(Reflect)
-    _set_level(t, level)
-    _set_iterations(t, iterations)
-    _set_over(t, over)
-    _set_depth(t, depth)
-    return t
+def _worm_theory(letters: tuple[int, ...]) -> TheoryExpr:
+    """The chain of single reflections over EA+ for the worm ``letters``,
+    made in one loop: the letter n becomes Reflect(n + 1, 1, ...), leftmost
+    letter outermost."""
+    expr, new = EA_PLUS, object.__new__
+    for depth, letter in enumerate(reversed(letters), 1):
+        t = new(Reflect)
+        _set_level(t, letter + 1)
+        _set_iterations(t, ONE)
+        _set_over(t, expr)
+        _set_depth(t, depth)
+        expr = t
+    return expr
 
 
 EA_PLUS = Base("EA+")
@@ -199,56 +205,63 @@ def pi_ordinal(t: TheoryExpr, k: int) -> Ordinal:
     """Pi_k proof-theoretic ordinal: the gamma with t equivalent to
     Reflect(k, gamma, EA+), reached by level drops and concatenation, the worm
     route at a level gap, or pa-con-product for PA-based input; each step is
-    authorized by the rule default_rules() gives its transform."""
+    authorized by the rule default_rules() gives its transform.
+
+    One walk down t decides the route: it reads the base, whether some
+    reflection sits below the level the one around it needs (a gap), and
+    whether every iteration count is 1."""
     if k < 1:
         raise ShapeError("reflection level must be >= 1")
-    chain = []  # (level, iterations), from the outermost reflection inward
+    chain = []  # the reflections, from the outermost inward
+    need, gap, ones = k, False, True
     base = t
     while isinstance(base, Reflect):
-        chain.append((base.level, base.iterations))
+        chain.append(base)
+        if base.level < need:
+            gap = True
+        if base.iterations is not ONE and ones and base.iterations != ONE:
+            ones = False
+        need = base.level
         base = base.over
     if base == PA:
         return _reduce_pa(chain, k)
-    gamma = _reduce_ea(chain, k)
-    if gamma is None:
-        # A level gap the rules cannot bridge: a worm-shaped theory is
-        # measured at level 1 by its worm (Beklemishev 2004).  Each level
-        # was checked when its Reflect was made, so the worm is made
-        # unchecked.
-        if k != 1 or any(iterations is not ONE and iterations != ONE for _, iterations in chain):
-            raise ShapeError(f"{format_theory(t)} is outside the supported shapes at level {k}")
-        default_rules().authorize("worm-route")
-        gamma = worm_ordinal(_worm(tuple([level - 1 for level, _ in chain])))
-    return gamma
+    if not gap:
+        return _reduce_ea(chain, k)
+    # A level gap the rules cannot bridge: a worm-shaped theory is measured
+    # at level 1 by its worm (Beklemishev 2004).  Each level was checked
+    # when its Reflect was made, so the worm is made unchecked.
+    if k != 1 or not ones:
+        raise ShapeError(f"{format_theory(t)} is outside the supported shapes at level {k}")
+    default_rules().authorize("worm-route")
+    return worm_ordinal(_worm(tuple([r.level - 1 for r in chain])))
 
 
-def _reduce_ea(chain: list[tuple[int, Ordinal]], k: int) -> Ordinal | None:
-    """gamma with the chain over EA+ equivalent to Reflect(k, gamma, EA+), or
-    None when a reflection sits below the level the one around it needs."""
-    steps = list(zip(chain, [k] + [level for level, _ in chain]))
-    if any(level < need for (level, _), need in steps):
-        return None
+def _reduce_ea(chain: list[Reflect], k: int) -> Ordinal:
+    """gamma with a gap-free chain over EA+ equivalent to Reflect(k, gamma,
+    EA+): innermost first, each reflection concatenates onto the gamma of
+    the chain below it, then drops to the level the one around it needs."""
     gamma = ZERO
-    for (level, iterations), need in reversed(steps):
+    for i in range(len(chain) - 1, -1, -1):
+        r = chain[i]
         if gamma.is_zero():
-            gamma = iterations
+            gamma = r.iterations
         else:
             default_rules().authorize("concatenation")
-            gamma = add(gamma, iterations)
-        for _ in range(level - need):
+            gamma = add(gamma, r.iterations)
+        for _ in range(r.level - (chain[i - 1].level if i else k)):
             default_rules().authorize("level-drop-omega-power")
             gamma = veblen(ZERO, gamma)
     return gamma
 
 
-def _reduce_pa(chain: list[tuple[int, Ordinal]], k: int) -> Ordinal:
+def _reduce_pa(chain: list[Reflect], k: int) -> Ordinal:
     if k != 1:
         raise ShapeError("PA-based expressions are analyzed at level 1 only")
     total = ZERO
-    for level, iterations in chain:
-        if level != 1:
+    for r in chain:
+        if r.level != 1:
             raise ShapeError("only level-1 reflection towers over PA are in the catalog")
-        total = add(iterations, total)
+        total = add(r.iterations, total)
     if not is_natural(total):
         raise ShapeError("transfinite iteration over PA is outside the catalog")
     default_rules().authorize("pa-con-product")

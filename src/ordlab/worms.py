@@ -10,12 +10,14 @@ A Worm checks its letters once, when it is made; o and its inverse then
 work on bare letters.  The public constructor Worm(...) checks every
 letter.  Worms and worm theories are made on hot paths, so, as with
 Ordinal and VeblenAtom (ordinals._ordinal and _phi), Worm and Reflect each
-have a private unchecked maker, _worm here and theories._reflect, that
-skips __init__.  Only a caller that has proved the caps itself uses one:
-parse_worm and lift check their largest letter, drop and worm_of_ordinal
-make letters that are in range by construction, theory_of_worm checks the
-length and the top reflection level once, not once per letter, and the
-worm route of theories.pi_ordinal reads levels its Reflects checked.
+have a private unchecked maker that skips __init__: _worm here, and
+theories._worm_theory, which makes a worm's whole chain of Reflects in one
+loop.  Only a caller that has proved the caps itself uses one: parse_worm
+and lift check their largest letter, drop makes letters that are in range
+by construction, worm_of_ordinal checks the top letter each level passes
+up, theory_of_worm checks the length and the top reflection level once,
+not once per letter, and the worm route of theories.pi_ordinal reads
+levels its Reflects checked.
 
 o is memoised in one bounded cache of 2**12 entries, which the pieces of a
 worm share.  Its keys are bytes, one byte a letter: a letter is at most
@@ -28,7 +30,7 @@ from __future__ import annotations
 import operator
 from functools import lru_cache
 
-from ._scan import numeral_value, within_depth
+from ._scan import MAX_NUMERAL_DIGITS, numeral_value, within_depth
 from ._value import Value, set_field
 from .errors import ParseError, RangeError, WormError
 from .ordinals import (
@@ -155,53 +157,64 @@ def worm_of_ordinal(x: Ordinal) -> Worm:
     """
     if compare(x, EPSILON0) >= 0:
         raise RangeError(f"{x} is not below e0, which worms cannot reach")
-    return _worm(_letters_of(x, 0))
+    return _worm(_letters_of(x, 0)[0])
 
 
-def _letters_of(x: Ordinal, k: int) -> tuple[int, ...]:
-    """The letters of worm_of_ordinal(x), each raised by k.  Every level
-    checks the worm it stands for, its letters less k, against the letter
-    cap and MAX_WORM_LENGTH, innermost first."""
+def _letters_of(x: Ordinal, k: int) -> tuple[tuple[int, ...], int]:
+    """The letters of worm_of_ordinal(x), each raised by k, and the top
+    letter among them, k - 1 when there are none.  Every level checks the
+    worm it stands for, its letters less k, against the letter cap and
+    MAX_WORM_LENGTH, innermost first; a piece's letters are checked once,
+    by the top letter its level passes up."""
     if x.is_zero():
-        return ()
+        return (), k - 1
     letters: list[int] = []
+    top = k
     for atom, count in reversed(x.parts):
-        piece = _letters_of(atom.arg, k + 1)
-        if piece:
-            within_depth(max(piece) - k, "worm letter")
+        piece, piece_top = _letters_of(atom.arg, k + 1)
+        if piece_top > top:
+            # A piece no higher than the top so far passes as that top did.
+            within_depth(piece_top - k, "worm letter")
+            top = piece_top
         piece += (k,)
         if len(letters) + count * len(piece) > MAX_WORM_LENGTH:
             raise RangeError(f"the worm of {x} needs more than {MAX_WORM_LENGTH} letters")
         letters += piece * count
     if len(piece) > 1:
         letters.pop()
-    return tuple(letters)
+    return tuple(letters), top
 
 
 def theory_of_worm(w: Worm):
     """Nested single reflections over EA+: the letter n becomes one step of
     Pi_{n+1} reflection, leftmost letter outermost, so each letter nests one
     level and a worm may have at most MAX_DEPTH letters."""
-    from .theories import EA_PLUS, _reflect
+    from .theories import _worm_theory
 
     letters = w.letters
     within_depth(len(letters), "worm length")
     within_depth(max(letters, default=0) + 1, "reflection level")
-    expr = EA_PLUS
-    for depth, letter in enumerate(reversed(letters), 1):
-        expr = _reflect(letter + 1, ONE, expr, depth)
-    return expr
+    return _worm_theory(letters)
 
 
 def parse_worm(text: str) -> Worm:
-    """Space-separated decimal letters; the empty worm is written "T"."""
+    """Space-separated decimal letters; the empty worm is written "T".
+
+    A text no longer than a numeral may be, all of whose pieces are
+    decimal, is read by int in one map, since none of its pieces can be
+    refused; any other text is read piece by piece, so that the first bad
+    or too-long piece is the one reported."""
     if text.strip() == "T":
         return TOP
-    letters = []
-    for piece in text.split():
-        if not piece.isdecimal():
-            raise ParseError(f"bad worm letter {piece!r}")
-        letters.append(numeral_value(piece))
+    pieces = text.split()
+    if len(text) <= MAX_NUMERAL_DIGITS and all(map(str.isdecimal, pieces)):
+        letters = tuple(map(int, pieces))
+    else:
+        letters = []
+        for piece in pieces:
+            if not piece.isdecimal():
+                raise ParseError(f"bad worm letter {piece!r}")
+            letters.append(numeral_value(piece))
     if not letters:
         raise ParseError("empty worm text; the empty worm is written 'T'")
     within_depth(max(letters), "worm letter")

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import FORMULA_GOLDENS, PHI, PSI
+from conftest import PHI, PSI
 from ordlab.errors import CaptureError, RangeError
 from ordlab.formulas import (
     TOP,
@@ -28,18 +28,6 @@ from ordlab.formulas import (
     sv,
     sv_star,
 )
-
-
-@pytest.mark.parametrize("name", FORMULA_GOLDENS)
-def test_goldens_utf8(name):
-    formula, golden, _ = FORMULA_GOLDENS[name]
-    assert pretty(formula) == golden
-
-
-@pytest.mark.parametrize("name", FORMULA_GOLDENS)
-def test_goldens_ascii(name):
-    formula, _, golden = FORMULA_GOLDENS[name]
-    assert pretty(formula, ascii_mode=True) == golden
 
 
 def test_constar_avoids_bound_name_collision():

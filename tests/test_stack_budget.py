@@ -3,10 +3,11 @@
 Each nesting level costs a walk a fixed number f of Python frames: each
 parser, and each walk over a value a parser builds at the cap (the
 predicate compile, format_ordinal, term_size, compare, add, format_theory,
-reduce_to_level, worm_ordinal and worm_of_ordinal).  theory_of_worm and the
-worm route loop over a worm's letters and a theory's chain, and spend no
-frame a letter.  Here each walk runs in a fresh thread under the recursion
-limit (f + 1) * MAX_DEPTH, with the caches it keeps cleared first.  That
+reduce_to_level, worm_ordinal and worm_of_ordinal).  theory_of_worm's maker
+theories._worm_theory loops over a worm's letters, and pi_ordinal's one
+walk down a theory's chain loops too: neither spends a frame a letter.
+Here each walk runs in a fresh thread under the recursion limit
+(f + 1) * MAX_DEPTH, with the caches it keeps cleared first.  That
 leaves one spare frame a level, so a change that spends one more frame on
 every level of any walk fails.  No budget exceeds N = 500, the bound the
 README's "Limits" section states."""

@@ -10,10 +10,12 @@ and uses neither ordlab's add nor its veblen.  worm_of_ordinal's refusals
 keep their text, each one error line at the CLI.
 
 parse_worm, lift, drop, worm_of_ordinal and theory_of_worm make their values
-with the unchecked makers worms._worm and theories._reflect, after proving
-the caps themselves: what they make equals what the public Worm and Reflect
-make from the same fields, and at each cap they refuse with the error the
-public constructors give.
+with the unchecked makers worms._worm and theories._worm_theory, after
+proving the caps themselves: what they make equals what the public Worm and
+Reflect make from the same fields, and at each cap they refuse with the
+error the public constructors give.  parse_worm reads a short all-decimal
+text with int in one map and any other text piece by piece; both paths are
+pinned with their answers and their exact first errors.
 """
 
 import itertools
@@ -22,9 +24,9 @@ import pytest
 
 import oracle
 from conftest import worms_up_to
-from ordlab._scan import MAX_DEPTH
+from ordlab._scan import MAX_DEPTH, MAX_NUMERAL_DIGITS
 from ordlab.cli import run
-from ordlab.errors import OrdlabError, RangeError
+from ordlab.errors import OrdlabError, ParseError, RangeError
 from ordlab.ordinals import ONE, iter_omega, parse_ordinal
 from ordlab.theories import EA_PLUS, Reflect
 from ordlab.worms import (
@@ -179,6 +181,36 @@ def test_parse_worm_refuses_as_the_constructor_does(letter):
         refusal = _error(lambda: Worm(letters))
         assert refusal == (RangeError, f"worm letter {letter} exceeds the depth cap {MAX_DEPTH}")
         assert _error(lambda: parse_worm(text)) == refusal
+
+
+_LONG = "1" + "0" * MAX_NUMERAL_DIGITS  # one digit too many
+_SMALL = "1 " * 2200  # small letters, but longer than a numeral may be
+
+
+@pytest.mark.parametrize("text, answer", [
+    ("T", ()),
+    # A text no longer than a numeral, all of whose pieces are decimal,
+    # takes the fast path: pieces split on any whitespace, digits in any script.
+    ("1\xa02", (1, 2)),
+    ("1\t\n2", (1, 2)),
+    ("\u0661 \u0662", (1, 2)),
+    (" ", (ParseError, "empty worm text; the empty worm is written 'T'")),
+    ("1 101", (RangeError, f"worm letter 101 exceeds the depth cap {MAX_DEPTH}")),
+    (_LONG[:-1], (RangeError, f"worm letter {_LONG[:-1]} exceeds the depth cap {MAX_DEPTH}")),
+    # Any other text is read piece by piece, and its first bad piece is reported.
+    (_LONG, (RangeError, f"numeral is longer than {MAX_NUMERAL_DIGITS} digits")),
+    (f"{_LONG} x", (RangeError, f"numeral is longer than {MAX_NUMERAL_DIGITS} digits")),
+    (f"x {_LONG}", (ParseError, "bad worm letter 'x'")),
+    (_SMALL, (1,) * 2200),
+    (_SMALL + " x", (ParseError, "bad worm letter 'x'")),
+], ids=["T", "nbsp", "tab-newline", "arabic-indic", "blank", "letter-101", "4300-digits",
+        "4301-digits", "too-long-then-bad", "bad-then-too-long", "2200-letters",
+        "2200-letters-then-bad"])
+def test_parse_worm_fast_path_and_fallback(text, answer):
+    if answer and isinstance(answer[0], type):
+        assert _error(lambda: parse_worm(text)) == answer
+    else:
+        _assert_public(parse_worm(text), answer)
 
 
 @pytest.mark.parametrize("k", [1, 2, 10**30])
