@@ -8,7 +8,9 @@ k, k+1, k+2, ... is an infinite strictly descending chain.  Deciding a single
 comparison only ever inspects P at arguments up to max(a, b), so the
 well-foundedness of the order is exactly as hidden as the truth of P.
 A presentation remembers how far it has scanned P, so a later query never
-scans that prefix again.
+scans that prefix again.  kreisel_presentation gives every caller of one
+text the same presentation, from a cache of 256 texts, so a repeat query
+skips the parse and the scan both.
 
 Predicates are a tiny total expression language over one variable x with
 +, *, numerals, comparisons and boolean connectives, e.g. "x != 7" or
@@ -202,9 +204,10 @@ class Presentation(Value):
     def least_counterexample(self, bound: int) -> Optional[int]:
         """First n <= bound with not P(n), scanning upward, or None; never
         inspects the predicate above bound, nor at an argument an earlier
-        call on this presentation already inspected.  The answer names the
-        arguments it depends on: P at 0..k for an answer k, at 0..bound
-        for None."""
+        call on this presentation already inspected: a presentation that
+        kreisel_presentation gave for a text is shared by every caller of
+        that text.  The answer names the arguments it depends on: P at
+        0..k for an answer k, at 0..bound for None."""
         if bound > MAX_FUEL:
             raise RangeError(f"bound {bound} exceeds the fuel cap {MAX_FUEL}")
         s, k = self._scanned
@@ -228,9 +231,23 @@ class Presentation(Value):
 
 
 def kreisel_presentation(predicate: PredicateExpr | str) -> Presentation:
+    """The presentation of ``predicate``.  A text goes through one shared
+    cache of 256 entries keyed by the exact text, so every caller of a text
+    gets one presentation and its scanned prefix; a refused text is not
+    cached.  kreisel_presentation.cache_info() and cache_clear() reach it.
+    A parsed predicate gets a fresh presentation."""
     if isinstance(predicate, str):
-        predicate = parse_predicate(predicate)
+        return _text_presentation(predicate)
     return Presentation(predicate)
+
+
+@lru_cache(maxsize=256)
+def _text_presentation(text: str) -> Presentation:
+    return Presentation(parse_predicate(text))
+
+
+kreisel_presentation.cache_info = _text_presentation.cache_info
+kreisel_presentation.cache_clear = _text_presentation.cache_clear
 
 
 def _check_fuel(fuel: int, window: int):

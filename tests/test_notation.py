@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 
 from conftest import BATTERY
 from oracle import least_counterexample, order_key
-from ordlab._scan import MAX_DEPTH
+from ordlab._scan import MAX_DEPTH, MAX_NUMERAL_DIGITS
 from ordlab.errors import PredicateError, RangeError
 from ordlab.notation import (
     MAX_FUEL,
@@ -309,13 +309,6 @@ def test_check_ascending_examples():
     assert check_ascending(kreisel_presentation("x != 200"), 100)
 
 
-def test_ascending_iff_total_below_window(presentation):
-    p = presentation
-    for n in range(201):
-        total_below = all(p.predicate.evaluate(x) for x in range(n))
-        assert check_ascending(p, n) == total_below
-
-
 def _counting(text: str):
     """The presentation of ``text`` and the list of arguments its predicate
     is evaluated at.  The library consumes a scan lazily, so an argument is
@@ -392,31 +385,47 @@ def test_less_batch_evaluates_each_argument_once(text):
     assert len(calls) <= max(max(pair) for pair in pairs) + 1
 
 
-_QUERY = st.one_of(
-    st.tuples(st.just("less"), st.integers(0, 60), st.integers(0, 60)),
-    st.tuples(st.just("least"), st.integers(-1, 60)),
-)
+def _queries(top: int):
+    return st.one_of(
+        st.tuples(st.just("less"), st.integers(0, top), st.integers(0, top)),
+        st.tuples(st.just("least"), st.integers(-1, top)),
+    )
+
+
+def _answer(p: Presentation, query: tuple):
+    kind = query[0]
+    if kind == "less":
+        # The least counterexample up to max(a, b) is what the comparison
+        # depends on.
+        return p.less(query[1], query[2]), p.least_counterexample(max(query[1], query[2]))
+    if kind == "least":
+        return p.least_counterexample(query[1])
+    return {"ascending": check_ascending, "audit": audit, "descend": find_descending}[kind](p, query[1])
 
 
 @settings(max_examples=200, deadline=None)
 @given(text=st.sampled_from(["true", "x != 0", "x != 20", "x*x != 900 and x != 45"]),
-       queries=st.lists(_QUERY, max_size=12))
+       queries=st.lists(_queries(60), max_size=12))
 @example(text="x != 20", queries=[("less", 50, 3), ("less", 4, 5), ("least", 10), ("least", 20)])
 @example(text="x != 20", queries=[("least", 60), ("less", 30, 12), ("least", 19), ("less", 19, 0)])
 def test_shared_presentation_answers_like_fresh_ones(text, queries):
     predicate = parse_predicate(text)
     shared = kreisel_presentation(predicate)
     for query in queries:
-        answers = []
-        for p in (shared, kreisel_presentation(predicate)):
-            if query[0] == "less":
-                top = max(query[1], query[2])
-                # The least counterexample up to max(a, b) is what the
-                # comparison depends on.
-                answers.append((p.less(query[1], query[2]), p.least_counterexample(top)))
-            else:
-                answers.append(p.least_counterexample(query[1]))
-        assert answers[0] == answers[1], query
+        assert _answer(shared, query) == _answer(kreisel_presentation(predicate), query), query
+
+
+@pytest.mark.parametrize("text", BATTERY)
+@settings(max_examples=40, deadline=None)
+@given(queries=st.lists(st.one_of(
+    _queries(250), st.tuples(st.sampled_from(["ascending", "audit", "descend"]), st.integers(0, 250))),
+    max_size=12))
+def test_text_presentations_answer_like_fresh_ones(text, queries):
+    # The text's one cached presentation lives on across queries, examples
+    # and tests; each query also goes to a fresh one.
+    for query in queries:
+        fresh = Presentation(parse_predicate(text))
+        assert _answer(kreisel_presentation(text), query) == _answer(fresh, query), query
 
 
 def test_queried_presentation_equals_a_fresh_one():
@@ -460,6 +469,59 @@ def test_presentation_shared_across_threads():
     for rows in results:
         for a, b, got in rows:
             assert got == (order_key(700, a) < order_key(700, b))
+
+
+# --- one presentation per text ----------------------------------------------------
+
+def test_one_text_gives_one_presentation():
+    kreisel_presentation.cache_clear()
+    p = kreisel_presentation("x != 7")
+    assert kreisel_presentation("x != 7") is p
+    # The key is the exact text: a spelling that parses alike has its own entry.
+    q = kreisel_presentation(" x != 7")
+    assert q == p and q is not p
+    info = kreisel_presentation.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
+
+
+def test_text_cache_evicts_the_least_recently_used_past_256():
+    assert kreisel_presentation.cache_info().maxsize == 256
+    kreisel_presentation.cache_clear()
+    texts = [f"x != {i}" for i in range(257)]
+    held = [kreisel_presentation(text) for text in texts[:256]]
+    assert kreisel_presentation(texts[0]) is held[0]
+    # texts[1] is now the least recently used, and the 257th text evicts it.
+    kreisel_presentation(texts[256])
+    info = kreisel_presentation.cache_info()
+    assert info.currsize == 256
+    assert all(kreisel_presentation(texts[i]) is held[i] for i in (0, *range(2, 256)))
+    assert kreisel_presentation.cache_info().misses == info.misses
+    again = kreisel_presentation(texts[1])
+    assert again == held[1] and again is not held[1]
+    assert kreisel_presentation.cache_info().currsize == 256
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("x !!", PredicateError, "expected a comparison operator at position 2"),
+    ("not " * MAX_DEPTH + "x = 1", RangeError, "predicate tree deeper than the depth cap 100"),
+    ("x != " + "9" * (MAX_NUMERAL_DIGITS + 1), RangeError, "numeral is longer than 4300 digits"),
+], ids=["syntax", "too-deep", "numeral-too-long"])
+def test_a_refused_text_is_not_cached(text, error, message):
+    before = kreisel_presentation.cache_info()
+    for _ in range(3):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            kreisel_presentation(text)
+    after = kreisel_presentation.cache_info()
+    assert after.currsize == before.currsize and after.misses == before.misses + 3
+
+
+def test_a_parsed_predicate_gets_a_fresh_presentation():
+    before = kreisel_presentation.cache_info()
+    predicate = parse_predicate("x != 7")
+    assert parse_predicate("x != 7") is not predicate
+    assert kreisel_presentation(predicate) is not kreisel_presentation(predicate)
+    assert Presentation(predicate) is not Presentation(predicate)
+    assert kreisel_presentation.cache_info() == before
 
 
 # --- find_descending -------------------------------------------------------------------

@@ -93,3 +93,79 @@ def test_shared_test_data_is_defined_once():
     shared = bound(ROOT / "tests" / "conftest.py", imports=False)
     copies = {path.name: bound(path, imports=True) & shared for path in (ROOT / "tests").glob("test_*.py")}
     assert {name: names for name, names in copies.items() if names} == {}
+
+
+# Every functools cache in the package, by module and function, with its
+# bound: an lru_cache's maxsize, or why an unbounded cache cannot grow
+# without limit.
+CACHES = {
+    ("__init__", "_module"): "keys: the six library module names",
+    ("cli", "build_parser"): "no arguments",
+    ("notation", "_scanner_factory"): 256,
+    ("notation", "_text_presentation"): 256,
+    ("theories", "default_catalog"): "no arguments",
+    ("theories", "default_rules"): "no arguments",
+    ("worms", "_ordinal"): 2**12,
+}
+
+
+def _maker(node) -> str | None:
+    """"cache" or "lru_cache" when ``node`` names that functools cache maker."""
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+    return name if name in ("cache", "lru_cache") else None
+
+
+def _caches(path: Path) -> tuple[dict, int]:
+    """The functools caches of one module, each with its bound (None when
+    unbounded) and whether its function takes arguments, and the count of
+    every name in the module that names a cache maker."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        for decorator in node.decorator_list:
+            call = decorator if isinstance(decorator, ast.Call) else None
+            kind = _maker(call.func if call else decorator)
+            if kind is None:
+                continue
+            sizes = [k.value for k in call.keywords if k.arg == "maxsize"] + call.args[:1] if call else []
+            if kind == "cache":
+                bound = None
+            elif sizes:
+                bound = eval(compile(ast.Expression(sizes[0]), path.name, "eval"), {})
+            else:
+                bound = 128  # lru_cache's default maxsize
+            a = node.args
+            found[path.stem, node.name] = (bound, any((a.posonlyargs, a.args, a.kwonlyargs, a.vararg, a.kwarg)))
+    return found, sum(_maker(node) is not None for node in ast.walk(tree))
+
+
+def test_every_cache_is_bounded():
+    # An unbounded cache grows with what its callers pass unless its keys
+    # come from a closed set.  Every reference to a cache maker must be a
+    # decorator, so that no cache escapes the list.
+    found, references = {}, 0
+    for path in sorted((ROOT / "src" / "ordlab").glob("*.py")):
+        caches, count = _caches(path)
+        found |= caches
+        references += count
+    assert references == len(found)
+    listed = {}
+    for name, (bound, takes) in found.items():
+        if bound is not None:
+            listed[name] = bound
+        elif not takes:
+            listed[name] = "no arguments"
+        else:
+            reason = CACHES.get(name)
+            listed[name] = reason if isinstance(reason, str) and reason.startswith("keys:") else "unbounded"
+    assert listed == CACHES
+
+
+def test_the_module_cache_holds_only_the_six_library_modules():
+    # The package and the CLI ask _module only for the modules EXPORTS names.
+    for name in ordlab.__all__:
+        getattr(ordlab, name)
+    assert len(EXPORTS) == 6
+    assert ordlab._module.cache_info().currsize <= len(EXPORTS)
