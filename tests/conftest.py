@@ -9,7 +9,7 @@ from hypothesis import settings
 from ordlab.cli import _COMMANDS
 from ordlab.formulas import TOP, Hole, rosser_combination, slowcon, sv, sv_star
 from ordlab.ordinals import add, compare, enumerate_terms, from_int, in_phi_range, veblen
-from ordlab.worms import Worm
+from ordlab.worms import Worm, worm_ordinal
 
 # Every Hypothesis test draws the same examples on every run and keeps no
 # example database, so a failure anywhere reproduces everywhere.  Each
@@ -92,6 +92,12 @@ def worms_up_to(length):
     for n in range(length + 1):
         for letters in itertools.product((0, 1, 2), repeat=n):
             yield Worm(letters)
+
+
+def cold_worm_ordinal(w: Worm):
+    """o(w) from an empty cache, so that every piece of the worm is worked out."""
+    worm_ordinal.cache_clear()
+    return worm_ordinal(w)
 
 
 def nest(opening: str, core: str, closing: str, depth: int) -> str:

@@ -19,11 +19,12 @@ from statistics import linear_regression
 
 import pytest
 
+from conftest import cold_worm_ordinal
 from ordlab.errors import RangeError
 from ordlab.notation import parse_predicate
 from ordlab.ordinals import add, compare, format_ordinal, parse_ordinal
 from ordlab.theories import parse_theory
-from ordlab.worms import Worm, parse_worm, worm_of_ordinal, worm_ordinal
+from ordlab.worms import Worm, parse_worm, worm_of_ordinal
 
 SIZES = (500, 1000, 2000, 4000)
 ROUNDS, MAX_ROUNDS = 3, 9
@@ -42,12 +43,6 @@ def _predicate(text: str):
         parse_predicate(text)
 
 
-def _worm_ordinal(w: Worm):
-    # From an empty cache, so that every piece of the worm is worked out.
-    worm_ordinal.cache_clear()
-    return worm_ordinal(w)
-
-
 # name -> n -> the call to time, with its input built beforehand.
 FAMILIES = {
     "parse_ordinal falling": lambda n: partial(parse_ordinal, _falling(n)),
@@ -58,7 +53,7 @@ FAMILIES = {
     "parse_predicate": lambda n: partial(_predicate, " or ".join(f"x != {i}" for i in range(n))),
     "parse_worm": lambda n: partial(parse_worm, " ".join(str(i % 7) for i in range(n))),
     "worm_of_ordinal": lambda n: partial(worm_of_ordinal, parse_ordinal(f"w*{n}")),
-    "worm_ordinal": lambda n: partial(_worm_ordinal, Worm(i % 7 for i in range(n))),
+    "worm_ordinal": lambda n: partial(cold_worm_ordinal, Worm(i % 7 for i in range(n))),
     "format_ordinal": lambda n: partial(format_ordinal, parse_ordinal(_falling(n))),
     "add": lambda n: partial(add, parse_ordinal(_falling(n)), parse_ordinal(_falling(n))),
     "compare": lambda n: partial(compare, parse_ordinal(_falling(n)), parse_ordinal(_falling(n))),

@@ -15,8 +15,7 @@ README's "Limits" section states."""
 import sys
 import threading
 
-from conftest import nest
-from ordlab import worms
+from conftest import cold_worm_ordinal, nest
 from ordlab._scan import MAX_DEPTH
 from ordlab.errors import RangeError
 from ordlab.notation import _compile_tree, _PredicateParser, _scanner_factory
@@ -68,13 +67,8 @@ def _compile(tree: tuple):
     return _compile_tree(tree)
 
 
-def _worm_ordinal(worm: Worm):
-    worms.worm_ordinal.cache_clear()
-    return worm_ordinal(worm)
-
-
 def _reduce(theory):
-    worms.worm_ordinal.cache_clear()
+    worm_ordinal.cache_clear()
     return reduce_to_level(theory, 1)
 
 
@@ -129,8 +123,8 @@ WALKS = [
     *((format_theory, 1, lambda text=text: [parse_theory(text(D))])
       for text in (THEORY_CONS, THEORY_RISING, THEORY_FALLING)),
     (_reduce, 4, lambda: [parse_theory(THEORY_FALLING(D))]),  # the worm route
-    (_worm_ordinal, 4, lambda: [Worm(tuple(range(1, D + 1)))]),
-    (_worm_ordinal, 4, lambda: [Worm(tuple(range(D, 0, -1)))]),
+    (cold_worm_ordinal, 4, lambda: [Worm(tuple(range(1, D + 1)))]),
+    (cold_worm_ordinal, 4, lambda: [Worm(tuple(range(D, 0, -1)))]),
     (worm_of_ordinal, 2, _ordinals(ORDINAL_TOWER, 1)),  # w^w^...^w, the tallest that answers
     # Worms of 100 letters, each one reflection of the chain; "1 0" keeps
     # the worm route's recursion through o shallow.
