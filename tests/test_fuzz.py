@@ -1,10 +1,12 @@
 """Every text parser, fed text of at most 60 characters built from its
 grammar's alphabet plus two digit-like characters, either returns a value or
 raises an OrdlabError; nothing else escapes.  Every command, fed generated
-arguments, exits 0, 1 with one error line, or 2, within a wall-time bound."""
+arguments, exits 0, 1 with one error line, or 2 with argparse's usage error
+last, within a wall-time bound."""
 
 import contextlib
 import io
+import re
 import time
 
 import pytest
@@ -137,3 +139,6 @@ def test_cli_ends_in_an_answer_or_one_error_line(argv):
         assert len(lines) == 1 and lines[0].startswith("error: ")
     if code == 0:
         assert err.getvalue() == ""
+    if code == 2:
+        assert out.getvalue() == ""
+        assert re.match(r"ordlab( [\w-]+)*: error: ", err.getvalue().splitlines()[-1])
