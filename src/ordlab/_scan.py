@@ -5,7 +5,6 @@ value is made under."""
 from __future__ import annotations
 
 import re
-from typing import NoReturn
 
 from .errors import OrdlabError, ParseError, RangeError
 

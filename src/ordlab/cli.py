@@ -10,7 +10,6 @@ prints every help, usage and error text, loads only for any other argv.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import io
 import sys
@@ -241,8 +240,12 @@ def build_parser():
     it was, and help text reads the terminal width when it is printed."""
     import argparse
 
+    # At this help column every help text has the same bytes on Python 3.10 to
+    # 3.13; at argparse's default, 3.13 lays out a group's commands otherwise.
+    formatter = functools.partial(argparse.HelpFormatter, max_help_position=14)
     parser = argparse.ArgumentParser(
         prog="ordlab",
+        formatter_class=formatter,
         description="Symbolic ordinal notations, worms, reflection theories, "
         "pathological presentations, and formula constructions.",
     )
@@ -253,9 +256,9 @@ def build_parser():
     for group, name, help_text, arguments, call in _COMMANDS:
         group_help, module = _GROUPS[group]
         if group not in commands:
-            commands[group] = groups.add_parser(group, help=group_help).add_subparsers(
-                dest="command", required=True, metavar="CMD")
-        p = commands[group].add_parser(name, help=help_text)
+            group_parser = groups.add_parser(group, help=group_help, formatter_class=formatter)
+            commands[group] = group_parser.add_subparsers(dest="command", required=True, metavar="CMD")
+        p = commands[group].add_parser(name, help=help_text, formatter_class=formatter)
         for arg_name, options in arguments:
             p.add_argument(arg_name, **options)
         p.set_defaults(module=module, call=call)
@@ -281,12 +284,18 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main():
-    # run() prints into buffers, each written once, stdout first, as UTF-8 with
-    # an undecodable argument byte escaped as --ascii escapes it.  A stdout that
-    # fails is exit 1, with one error line unless its reader has gone (`| head`).
+    # run() prints into buffers, which stand in for the caller's streams until
+    # it returns or raises, so a traceback reaches the real stderr.  Each is
+    # written once, stdout first, as UTF-8 with an undecodable argument byte
+    # escaped as --ascii escapes it.  A stdout that fails is exit 1, with one
+    # error line unless its reader has gone (`| head`).
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    streams = sys.stdout, sys.stderr
+    sys.stdout, sys.stderr = out, err
+    try:
         code = run()
+    finally:
+        sys.stdout, sys.stderr = streams
     for fd, buffer in (1, out), (2, err):
         try:
             if data := buffer.getvalue().encode("utf-8", "backslashreplace"):

@@ -13,7 +13,6 @@ Rendering supports UTF-8 and a pure-ASCII mode; both are deterministic.
 from __future__ import annotations
 
 import re
-from typing import Optional, Union
 
 from ._value import Value
 from .errors import CaptureError, RangeError
@@ -32,7 +31,7 @@ class Num(Value):
     value: int
 
 
-Term = Union[Var, Num]
+Term = Var | Num
 
 
 # ---------------------------------------------------------------------------
@@ -76,10 +75,10 @@ class TheoryRef(Value):
 
     __slots__ = __match_args__ = ("base", "index", "added")
     base: str
-    index: Optional[Term]
-    added: Optional[Formula]
+    index: Term | None
+    added: Formula | None
 
-    def __init__(self, base: str, index: Optional[Term] = None, added: Optional[Formula] = None):
+    def __init__(self, base: str, index: Term | None = None, added: Formula | None = None):
         super().__init__(base, index, added)
 
 
@@ -143,7 +142,7 @@ def free_vars(f: Formula) -> frozenset[str]:
     return _free(f, frozenset())
 
 
-def _term_vars(t: Optional[Term]) -> frozenset[str]:
+def _term_vars(t: Term | None) -> frozenset[str]:
     return frozenset((t.name,)) if isinstance(t, Var) else frozenset()
 
 

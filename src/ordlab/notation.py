@@ -23,8 +23,8 @@ one compiled factory and bind their own numerals.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from functools import lru_cache
-from typing import Callable, Iterator, Optional
 
 from ._scan import DEFAULT_FUEL, MAX_DEPTH, MAX_FUEL, Scanner
 from ._value import Value, set_field
@@ -201,7 +201,7 @@ class Presentation(Value):
         # predicate, swapped in whole, so a presentation may be shared.
         set_field(self, "_scanned", (0, None))
 
-    def least_counterexample(self, bound: int) -> Optional[int]:
+    def least_counterexample(self, bound: int) -> int | None:
         """First n <= bound with not P(n), scanning upward, or None; never
         inspects the predicate above bound, nor at an argument an earlier
         call on this presentation already inspected: a presentation that
@@ -273,7 +273,7 @@ def check_ascending(p: Presentation, n: int, fuel: int = DEFAULT_FUEL) -> bool:
     return p.least_counterexample(n - 1) is None
 
 
-def find_descending(p: Presentation, fuel: int) -> Optional[list[int]]:
+def find_descending(p: Presentation, fuel: int) -> list[int] | None:
     """A strictly descending chain starting at the least counterexample
     within the window 0..fuel, of length min(fuel, what the window holds)
     but at least 1; None when the predicate has no counterexample there."""

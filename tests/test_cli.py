@@ -287,6 +287,21 @@ def _assert_refusal(capsys, argv, line):
     # An unknown theory name is a catalog error only to `theory catalog`.
     (("theory", "catalog", "ZFC"), "error: catalog: unknown theory name 'ZFC'"),
     (("theory", "pi-ordinal", "ZFC", "1"), "error: parse: unknown theory name 'ZFC' at position 0"),
+    # --fuel is at most its cap, and neither it nor a window is negative.
+    (("--fuel", "10000000", "notation", "audit", "true", "10000000"),
+     "error: range: fuel 10000000 exceeds the cap 1000000"),
+    (("--fuel", "2000000", "notation", "kreisel", "true", "5"),
+     "error: range: fuel 2000000 exceeds the cap 1000000"),
+    (("--fuel", "2000000", "notation", "descend", "true"),
+     "error: range: fuel 2000000 exceeds the cap 1000000"),
+    (("notation", "kreisel", "x != 7", "--", "-5"), "error: range: window -5 is negative"),
+    (("notation", "audit", "x != 7", "--", "-5"), "error: range: window -5 is negative"),
+    (("--fuel", "-3", "notation", "descend", "x != 7"), "error: range: fuel -3 is negative"),
+    (("--fuel", "-1", "notation", "kreisel", "x != 7", "5"), "error: range: fuel -1 is negative"),
+    # A `not` gives back the one level it took, so the nesting after it
+    # still counts from the level before it.
+    (("notation", "audit", "not x = 1 and " + "(" * 101 + "x" + ")" * 101 + " = 1", "10"),
+     "error: range: nesting exceeds the depth cap 100 at position 115"),
 ])
 def test_error_lines(capsys, argv, line):
     _assert_refusal(capsys, argv, line)
@@ -336,25 +351,6 @@ def test_deep_predicate_with_a_later_syntax_error_is_a_predicate_error(capsys):
     # The depth is checked when the predicate compiles, after it parses.
     _assert_refusal(capsys, ("notation", "audit", "x" + "*x" * 299 + " >= 0 )", "10"),
                     "error: predicate: trailing input at position 605")
-
-
-@pytest.mark.parametrize("argv", [
-    ("--fuel", "10000000", "notation", "audit", "true", "10000000"),
-    ("--fuel", "2000000", "notation", "kreisel", "true", "5"),
-    ("--fuel", "2000000", "notation", "descend", "true"),
-])
-def test_fuel_above_ceiling_is_a_range_error(capsys, argv):
-    _assert_refusal(capsys, argv, f"error: range: fuel {argv[1]} exceeds the cap 1000000")
-
-
-@pytest.mark.parametrize("argv, message", [
-    (("notation", "kreisel", "x != 7", "--", "-5"), "window -5 is negative"),
-    (("notation", "audit", "x != 7", "--", "-5"), "window -5 is negative"),
-    (("--fuel", "-3", "notation", "descend", "x != 7"), "fuel -3 is negative"),
-    (("--fuel", "-1", "notation", "kreisel", "x != 7", "5"), "fuel -1 is negative"),
-])
-def test_negative_window_or_fuel_is_a_range_error(capsys, argv, message):
-    _assert_refusal(capsys, argv, "error: range: " + message)
 
 
 # Every cap in one place: inputs that crashed, hung or succeeded past a cap
@@ -422,18 +418,19 @@ presentations, and formula constructions.
 
 positional arguments:
   GROUP
-    ord          ordinal arithmetic in Veblen normal form
-    worm         GLP worms and their ordinals
-    theory       iterated-reflection theory algebra
-    dilator      omega-model reflection dilator
-    notation     pathological presentations of omega
-    formula      explicit formula constructions
+    ord       ordinal arithmetic in Veblen normal form
+    worm      GLP worms and their ordinals
+    theory    iterated-reflection theory algebra
+    dilator   omega-model reflection dilator
+    notation  pathological presentations of omega
+    formula   explicit formula constructions
 
 options:
-  -h, --help     show this help message and exit
-  --ascii        render formulas in pure ASCII
-  --fuel N       search/window cap for the notation lab (default 10000)
-  --max-nodes N  structural-size bound for 'ord enum' (default 6)
+  -h, --help  show this help message and exit
+  --ascii     render formulas in pure ASCII
+  --fuel N    search/window cap for the notation lab (default 10000)
+  --max-nodes N
+              structural-size bound for 'ord enum' (default 6)
 """
 
 THEORY_HELP = """\
@@ -762,6 +759,15 @@ def test_subprocess_undecodable_argument(monkeypatch, argv, code, stdout, stderr
     assert proc.stdout.decode("utf-8") == stdout
 
 
+def test_main_restores_the_streams_when_run_raises(monkeypatch):
+    # So a traceback reaches the real stderr, not main()'s buffer.
+    monkeypatch.setattr(cli, "run", lambda: 1 / 0)
+    streams = sys.stdout, sys.stderr
+    with pytest.raises(ZeroDivisionError):
+        cli.main()
+    assert (sys.stdout, sys.stderr) == streams
+
+
 def test_subprocess_byte_identical_reruns():
     first = _run_process("--max-nodes", "4", "ord", "enum")
     second = _run_process("--max-nodes", "4", "ord", "enum")
@@ -773,7 +779,7 @@ def test_subprocess_byte_identical_reruns():
 # imports only the library modules it uses, and worms never imports theories.
 # No step loads dataclasses or inspect, whose imports would add several
 # milliseconds to every cold command, and only a usage error loads argparse.
-@pytest.mark.parametrize("step, loaded", [
+IMPORT_STEPS = [
     ("import ordlab", []),
     ("import ordlab; assert not hasattr(ordlab, 'cli')", []),
     ("from ordlab import cli; cli.run(['ord', 'cmp', 'w', 'e0'])",
@@ -787,12 +793,25 @@ def test_subprocess_byte_identical_reruns():
      ["_scan", "_value", "cli", "errors", "ordinals", "theories", "worms"]),
     ("from ordlab import cli; assert cli.run(['ord', 'frobnicate']) == 2",
      ["_scan", "cli", "errors"]),
-])
+    ("from ordlab import cli; cli.run(['notation', 'kreisel', 'x != 7', '10'])",
+     ["_scan", "_value", "cli", "errors", "notation"]),
+]
+
+
+# Each command step runs again under -S, without the site module, whose .pth
+# files may load typing or contextlib before ordlab does. There no step loads
+# those two either: annotations stay strings, and cli.main() swaps its two
+# streams without contextlib.
+@pytest.mark.parametrize("step, loaded", IMPORT_STEPS + [
+    pytest.param(("-S", step), loaded, id=f"-S {step}")
+    for step, loaded in IMPORT_STEPS if "cli.run" in step])
 def test_import_boundary(step, loaded):
+    *flags, step = (step,) if isinstance(step, str) else step
+    watched = ["argparse", "dataclasses", "inspect", *(["contextlib", "typing"] if flags else [])]
     report = ("import sys\n"
               "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'ordlab'))\n"
-              "print(sorted({'argparse', 'dataclasses', 'inspect'} & set(sys.modules)))")
-    proc = _run_python("-c", f"{step}\n{report}")
+              f"print(sorted(set(sys.modules).intersection({watched!r})))")
+    proc = _run_python(*flags, "-c", f"{step}\n{report}")
     assert proc.returncode == 0, proc.stderr
     *_, modules, machinery = proc.stdout.decode("utf-8").splitlines()
     assert modules == repr(["ordlab", *(f"ordlab.{m}" for m in loaded)])

@@ -300,9 +300,10 @@ def test_parse_worm_fast_path_and_fallback(text, answer):
         _assert_public(parse_worm(text), answer)
 
 
-@pytest.mark.parametrize("k", [1, 2, 10**30])
+@pytest.mark.parametrize("k", [0, 1, 2, 10**30])
 def test_lift_refuses_as_the_constructor_does(k):
-    # Lifted by 1 the letter 99 reaches the cap; by 2, one past it.
+    # Lifted by 0 the worm is itself; by 1 the letter 99 reaches the cap; by
+    # 2, one past it.
     w = Worm((0, MAX_DEPTH - 1, 3))
     letters = [l + k for l in w.letters]
     if max(letters) <= MAX_DEPTH:
